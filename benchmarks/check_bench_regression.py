@@ -3,7 +3,7 @@
 Compares a freshly emitted report against the committed baseline of the
 same suite and fails when a guarded metric regresses by more than
 ``--factor`` (default 2×).  The guarded metrics are *ratios* (columnar
-speedup over the object path, parallel speedup over sequential, snapshot
+speedup over the object path, delta shipping over re-bootstrap, snapshot
 shrink factor), not absolute wall-clock: ratios are stable across machines
 of different speed, so the guard works on shared CI boxes where raw
 timings are meaningless.
@@ -19,17 +19,12 @@ must match between baseline and current):
     Guards ``speedup_vs_object`` per band per shared size, and requires
     the in-run backend identity checks to have passed.
 
-``parallel_answers``
-    Guards ``speedup_vs_sequential`` per worker count — but only when the
-    current machine has at least 4 CPUs: parallel scaling ratios measured
-    on 1–2 core boxes are dominated by process startup, not by the code
-    under test.  The skip is recorded in the guard's output (and the
-    agreement / purify-fast-path checks still run).
-
 ``sharded_runtime``
     Guards ``speedup_delta_vs_rebuild`` per worker count (worst case over
-    the suite's sizes), with the same recorded cpu-count skip as
-    ``parallel_answers``.  The in-run identity check (``all_agree``) and
+    the suite's sizes) — but only when the current machine has at least 4
+    CPUs: ratios measured on 1–2 core boxes are dominated by process
+    startup, not by the code under test.  The skip is recorded in the
+    guard's output.  The in-run identity check (``all_agree``) and
     the O(delta) shipping invariant (``all_deltas_below_snapshot``: no
     single delta flush may outweigh a pickled full snapshot) are enforced
     unconditionally — they are correctness properties, not timings.
@@ -159,47 +154,6 @@ def check_all_bands(baseline: Dict, current: Dict, factor: float) -> int:
     return status
 
 
-def check_parallel_answers(baseline: Dict, current: Dict, factor: float) -> int:
-    """Guard parallel scaling per worker count; skip ratios on small boxes."""
-    if not current.get("all_agree", False):
-        print(
-            "ERROR: current report records a parallel/sequential disagreement",
-            file=sys.stderr,
-        )
-        return 1
-    fast_path = current.get("purify_fast_path", {})
-    if not fast_path.get("zero_copies", True):
-        print(
-            "ERROR: purify copied an already-purified database", file=sys.stderr
-        )
-        return 1
-    cpus = current.get("cpu_count") or 0
-    if cpus < MIN_CPUS_FOR_PARALLEL_CHECK:
-        # Recorded skip: ratios from a box this small measure process
-        # startup, not the sharded loop.  Agreement was still checked above.
-        print(
-            f"SKIPPED: parallel-scaling ratio checks skipped "
-            f"(cpu_count={cpus} < {MIN_CPUS_FOR_PARALLEL_CHECK}); "
-            f"agreement and purify fast-path checks passed"
-        )
-        return 0
-    baseline_rows = {row["workers"]: row for row in baseline.get("results", ())}
-    current_rows = {row["workers"]: row for row in current.get("results", ())}
-    shared = sorted(set(baseline_rows) & set(current_rows))
-    if not shared:
-        print("ERROR: the reports share no worker counts", file=sys.stderr)
-        return 1
-    status = 0
-    for workers in shared:
-        status |= _check_ratio(
-            f"workers={workers}",
-            baseline_rows[workers].get("speedup_vs_sequential") or 0.0,
-            current_rows[workers].get("speedup_vs_sequential") or 0.0,
-            factor,
-        )
-    return status
-
-
 def _worst_sharded_speedups(report: Dict) -> Dict[int, float]:
     """Per worker count, the minimum delta-vs-rebuild speedup over sizes."""
     worst: Dict[int, float] = {}
@@ -228,10 +182,10 @@ def check_sharded_runtime(baseline: Dict, current: Dict, factor: float) -> int:
         return 1
     cpus = current.get("cpu_count") or 0
     if cpus < MIN_CPUS_FOR_PARALLEL_CHECK:
-        # Recorded skip, mirroring parallel_answers: the delta-vs-rebuild
-        # ratio is dominated by pool respawn cost, which a contended 1–2
-        # core CI box measures too noisily to guard on.  Agreement and the
-        # O(delta) invariant were still enforced above.
+        # Recorded skip: the delta-vs-rebuild ratio is dominated by pool
+        # respawn cost, which a contended 1–2 core CI box measures too
+        # noisily to guard on.  Agreement and the O(delta) invariant were
+        # still enforced above.
         print(
             f"SKIPPED: delta-vs-rebuild ratio checks skipped "
             f"(cpu_count={cpus} < {MIN_CPUS_FOR_PARALLEL_CHECK}); "
@@ -387,7 +341,6 @@ def check_fault_recovery(baseline: Dict, current: Dict, factor: float) -> int:
 _CHECKERS = {
     "columnar_store": check_columnar_store,
     "all_bands": check_all_bands,
-    "parallel_answers": check_parallel_answers,
     "sharded_runtime": check_sharded_runtime,
     "service_load": check_service_load,
     "durability": check_durability,

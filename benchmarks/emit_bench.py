@@ -1,6 +1,6 @@
 """Emit benchmark JSON reports recording the engine's performance trajectory.
 
-Nine suites:
+Eight suites:
 
 ``fo_rewriting`` (default) → ``BENCH_fo_rewriting.json``
     Times the certain first-order rewriting of Theorem 1 under the two
@@ -13,15 +13,6 @@ Nine suites:
     naive evaluator must exhaust the ``|adom|^k`` quantifier space before
     concluding — exactly the exponential behaviour the compiled plans
     eliminate.
-
-``parallel_answers`` → ``BENCH_parallel_answers.json``
-    Times the batched sequential ``certain_answers`` against the sharded
-    :class:`repro.engine.ParallelCertaintySession` at 1/2/4 workers on a
-    large FO-band open-query workload, cross-checks that every strategy
-    returns the identical answer set, and records the purify fast path
-    (zero database copies on already-purified inputs).  Speedup scales
-    with physical cores; ``cpu_count`` is recorded alongside so numbers
-    from single-core CI boxes are read in context.
 
 ``incremental_views`` → ``BENCH_incremental_views.json``
     Times a :class:`repro.incremental.ViewManager`-maintained certain-answer
@@ -39,7 +30,7 @@ Nine suites:
     batched deciding) against the object-level reference backend on the
     same scaling workload, asserting in-run that the two backends return
     identical answer sets at every size.  Also records the pickled size of
-    the columnar worker snapshot versus the fact object graph, the store's
+    the columnar snapshot versus the fact object graph, the store's
     per-component memory footprint, and the process-wide intern-table
     statistics.  ``benchmarks/check_bench_regression.py`` guards CI against
     the recorded speedups regressing more than 2× versus the committed
@@ -48,19 +39,21 @@ Nine suites:
 ``sharded_runtime`` → ``BENCH_sharded_runtime.json``
     Times the delta-shipped shard runtime
     (:class:`repro.engine.ShardedCertaintySession`: long-lived block-hash
-    -sharded workers receiving O(delta) mutation payloads) against the
-    full-snapshot-rebuild baseline (:class:`ParallelCertaintySession`,
-    whose pool rebuilds and re-ships the whole columnar snapshot after any
-    mutation) at 1/2/4 workers on a mixed read/write stream — bursty,
-    Zipf-skewed mutation batches interleaved with ``certain_answers``
-    reads.  The identical pre-recorded stream replays under every
-    strategy; after every step the answers are checked against a
-    sequential replay, and the run asserts that the largest single delta
-    flush stays below one pickled snapshot (bytes shipped scale with the
-    delta, not the database).  The headline ratio compares the two
-    strategies at the *same* worker count, so it measures serialization
-    and pool-respawn cost, not parallelism, and is meaningful on any core
-    count (``cpu_count`` is recorded alongside).
+    -sharded workers receiving O(delta) mutation payloads) against a full
+    re-bootstrap baseline (a fresh ``ShardedCertaintySession`` per step,
+    which respawns the pool and re-ships every partition) at 1/2/4 workers
+    on a mixed read/write stream — bursty, Zipf-skewed mutation batches
+    interleaved with ``certain_answers`` reads.  The identical
+    pre-recorded stream replays under every strategy; after every step the
+    answers are checked against a sequential replay, and the run asserts
+    that the largest single delta flush stays below one pickled snapshot
+    (bytes shipped scale with the delta, not the database).  The headline
+    ratio compares the two strategies at the *same* worker count, so it
+    measures serialization and pool-respawn cost, not parallelism, and is
+    meaningful on any core count (``cpu_count`` is recorded alongside).
+    ``speedup_vs_sequential`` divides the warm single-process
+    :class:`repro.engine.CertaintySession` replay time by the sharded
+    time.
 
 ``all_bands`` → ``BENCH_all_bands.json``
     Times the columnar id kernels against the object reference path on one
@@ -119,7 +112,7 @@ Run with::
 
     PYTHONPATH=src python benchmarks/emit_bench.py            # full sizes
     PYTHONPATH=src python benchmarks/emit_bench.py --smoke    # CI-sized
-    PYTHONPATH=src python benchmarks/emit_bench.py --suite parallel_answers
+    PYTHONPATH=src python benchmarks/emit_bench.py --suite sharded_runtime
     PYTHONPATH=src python benchmarks/emit_bench.py --suite incremental_views
 """
 
@@ -140,20 +133,14 @@ from typing import Dict, List, Optional, Sequence
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
-from repro.certainty import is_purified, purify, purify_copy_count, reset_purify_copy_count
 from repro.durability import DurableStore
-from repro.engine import (
-    CertaintySession,
-    ParallelCertaintySession,
-    ShardedCertaintySession,
-)
+from repro.engine import CertaintySession, ShardedCertaintySession
 from repro.faults import FaultPlan, FaultSpec, inject
 from repro.fo import certain_rewriting_cached, compile_formula, evaluate_sentence
 from repro.model.database import UncertainDatabase
 from repro.model.symbols import Variable
 from repro.query import parse_query
 from repro.query.conjunctive import ConjunctiveQuery
-from repro.query.evaluation import answer_tuples
 from repro.query.families import figure2_q1, figure4_query, path_query
 from repro.service import INLINE, CertaintyService
 from repro.store import global_intern_table
@@ -248,22 +235,13 @@ def run_benchmark(sizes: Sequence[int], repeats: int = 3, seed: int = 5) -> Dict
     }
 
 
-#: Planted-chain counts for the parallel_answers suite (the actual candidate
-#: count is higher: cross-links between chains create extra matches).
-PARALLEL_FULL_CANDIDATES = 1024
-PARALLEL_SMOKE_CANDIDATES = 48
-
-#: Worker counts compared against the sequential baseline.
-PARALLEL_WORKER_COUNTS = (1, 2, 4)
-
-
-def parallel_bench_query() -> ConjunctiveQuery:
+def chain_bench_query() -> ConjunctiveQuery:
     """The FO-band open query: ``path_query(3)`` with its head variable free."""
     base = path_query(3)
     return ConjunctiveQuery(base.atoms, free_variables=[Variable("x1")])
 
 
-def parallel_bench_instance(
+def chain_bench_instance(
     query: ConjunctiveQuery, candidates: int, seed: int = 13
 ) -> UncertainDatabase:
     """A database with ~*candidates* candidate answers and heavy key conflicts.
@@ -287,7 +265,7 @@ def parallel_bench_instance(
                 # universal quantifier chasing real continuations; dead
                 # targets give the falsifier a pick with no continuation, so
                 # a fair share of candidates decide NOT-certain and the
-                # sequential-vs-parallel cross-check covers both branches.
+                # sequential-vs-sharded cross-check covers both branches.
                 for conflict in range(3):
                     if conflict == 0 and level < len(relations) - 1:
                         # No fact ever continues from a dead node, so a
@@ -309,79 +287,12 @@ def parallel_bench_instance(
     return db
 
 
-def run_parallel_benchmark(
-    candidates: int, repeats: int = 3, seed: int = 13
-) -> Dict:
-    """Sequential vs parallel certain answers at 1/2/4 workers, cross-checked."""
-    query = parallel_bench_query()
-    db = parallel_bench_instance(query, candidates, seed=seed)
-
-    with CertaintySession(db) as session:
-        candidate_count = len(answer_tuples(query, session.index))
-        sequential_answers = session.certain_answers(query)
-        sequential_seconds = _best_of(
-            repeats, lambda: session.certain_answers(query)
-        )
-
-    results: List[Dict] = []
-    all_agree = True
-    for workers in PARALLEL_WORKER_COUNTS:
-        with ParallelCertaintySession(
-            db, max_workers=workers, mode="process", min_parallel_candidates=1
-        ) as parallel_session:
-            parallel_answers = parallel_session.certain_answers(query)
-            agree = parallel_answers == sequential_answers
-            all_agree = all_agree and agree
-            parallel_seconds = _best_of(
-                repeats, lambda: parallel_session.certain_answers(query)
-            )
-        results.append(
-            {
-                "workers": workers,
-                "parallel_seconds": parallel_seconds,
-                "speedup_vs_sequential": (
-                    sequential_seconds / parallel_seconds if parallel_seconds else None
-                ),
-                "answers": len(parallel_answers),
-                "agree": agree,
-            }
-        )
-
-    # The purify fast path: re-purifying an already-purified database must
-    # copy nothing (the polynomial solvers funnel through purify per call).
-    purified = purify(db, query.as_boolean())
-    assert is_purified(purified, query.as_boolean())
-    reset_purify_copy_count()
-    for _ in range(100):
-        purify(purified, query.as_boolean())
-    zero_copy_purifies = purify_copy_count()
-
-    return {
-        "benchmark": "parallel_answers",
-        "query": str(query),
-        "cpu_count": os.cpu_count(),
-        "facts": len(db),
-        "planted_chains": candidates,
-        "candidate_answers": candidate_count,
-        "certain_answers": len(sequential_answers),
-        "repeats": repeats,
-        "sequential_seconds": sequential_seconds,
-        "results": results,
-        "all_agree": all_agree,
-        "purify_fast_path": {
-            "repurify_runs": 100,
-            "copies": zero_copy_purifies,
-            "zero_copies": zero_copy_purifies == 0,
-        },
-    }
-
-
 #: Planted same-key pairs for the sharded_runtime suite (candidate volume).
 SHARDED_FULL_SIZES = (64, 256)
 SHARDED_SMOKE_SIZES = (16, 48)
 
 #: Shard/worker counts; both strategies run at the *same* count, so the
-#: headline ratio isolates snapshot-vs-delta cost rather than parallelism.
+#: headline ratio isolates re-bootstrap-vs-delta cost rather than parallelism.
 SHARDED_WORKER_COUNTS = (1, 2, 4)
 
 #: Mutation batches interleaved with reads in the replayed stream.
@@ -444,36 +355,58 @@ def _record_stream(query, db0, steps: int, seed: int):
     return batches
 
 
-def _replay_stream(db0, batches, query, make_session):
-    """Replay the recorded mixed read/write stream on a fresh database copy.
+def _replay_sequential(db0, batches, query):
+    """Replay the recorded mixed read/write stream on a fresh database copy
+    through one warm :class:`CertaintySession`.
 
-    Returns ``(seconds, per_step_answers, session)`` — the session is
-    already closed; its stats survive for the caller to read.
+    Returns ``(seconds, per_step_answers)``.
     """
     db = db0.copy()
-    session = make_session(db)
-    try:
+    with CertaintySession(db) as session:
         start = time.perf_counter()
         per_step = [session.certain_answers(query)]
         for batch in batches:
             apply_batch(db, batch)
             per_step.append(session.certain_answers(query))
         seconds = time.perf_counter() - start
-    finally:
-        session.close()
-    return seconds, per_step, session
+    return seconds, per_step
+
+
+def _replay_rebootstrap(db0, batches, query, workers: int):
+    """Replay the recorded stream with a fresh sharded session per step.
+
+    Every read spawns the pool and re-ships every partition, then tears
+    the pool down: the full re-bootstrap baseline that delta shipping is
+    measured against.  Returns ``(seconds, per_step_answers, sessions,
+    bootstrap_bytes)``.
+    """
+    db = db0.copy()
+    per_step = []
+    bootstrap_bytes = 0
+    start = time.perf_counter()
+    for batch in [None, *batches]:
+        if batch is not None:
+            apply_batch(db, batch)
+        with ShardedCertaintySession(
+            db, n_shards=workers, min_shard_candidates=1
+        ) as session:
+            per_step.append(session.certain_answers(query))
+        bootstrap_bytes += session.stats.bootstrap_bytes_shipped
+    seconds = time.perf_counter() - start
+    return seconds, per_step, len(per_step), bootstrap_bytes
 
 
 def run_sharded_benchmark(
     sizes: Sequence[int], steps: int, repeats: int = 3, seed: int = 29
 ) -> Dict:
-    """Delta-shipped shards vs full-snapshot rebuild on a mutation stream.
+    """Delta-shipped shards vs full re-bootstrap on a mutation stream.
 
     Per size the same pre-recorded batches replay under three strategies:
     a sequential :class:`CertaintySession` (the per-step ground truth), a
-    full-snapshot-rebuild :class:`ParallelCertaintySession`, and the
-    delta-shipped :class:`ShardedCertaintySession` — the latter two at each
-    worker count, answers checked step-by-step against the sequential run.
+    fresh :class:`ShardedCertaintySession` per step (full re-bootstrap),
+    and one long-lived delta-shipped :class:`ShardedCertaintySession` — the
+    latter two at each worker count, answers checked step-by-step against
+    the sequential run.
     """
     query = sharded_bench_query()
     results: List[Dict] = []
@@ -487,33 +420,20 @@ def run_sharded_benchmark(
         sequential_seconds = float("inf")
         expected = None
         for _ in range(repeats):
-            seconds, per_step, _session = _replay_stream(
-                db0, batches, query, lambda db: CertaintySession(db)
-            )
+            seconds, per_step = _replay_sequential(db0, batches, query)
             sequential_seconds = min(sequential_seconds, seconds)
             expected = per_step
 
         worker_rows: List[Dict] = []
         for workers in SHARDED_WORKER_COUNTS:
             rebuild_seconds = float("inf")
-            rebuild_session = None
             rebuild_agree = True
             for _ in range(repeats):
-                seconds, per_step, session = _replay_stream(
-                    db0,
-                    batches,
-                    query,
-                    lambda db: ParallelCertaintySession(
-                        db,
-                        max_workers=workers,
-                        mode="process",
-                        min_parallel_candidates=1,
-                        track_bytes=True,
-                    ),
+                seconds, per_step, rebuilds, rebuild_bytes = _replay_rebootstrap(
+                    db0, batches, query, workers
                 )
                 rebuild_agree = rebuild_agree and per_step == expected
-                if seconds < rebuild_seconds:
-                    rebuild_seconds, rebuild_session = seconds, session
+                rebuild_seconds = min(rebuild_seconds, seconds)
 
             sharded_seconds = float("inf")
             sharded_session = None
@@ -558,13 +478,16 @@ def run_sharded_benchmark(
                 {
                     "workers": workers,
                     "rebuild_seconds": rebuild_seconds,
-                    "rebuilds": rebuild_session.stats.rebuilds,
-                    "snapshot_bytes_shipped": (
-                        rebuild_session.stats.snapshot_bytes_shipped
-                    ),
+                    "rebuilds": rebuilds,
+                    "snapshot_bytes_shipped": rebuild_bytes,
                     "sharded_seconds": sharded_seconds,
                     "speedup_delta_vs_rebuild": (
                         rebuild_seconds / sharded_seconds
+                        if sharded_seconds
+                        else None
+                    ),
+                    "speedup_vs_sequential": (
+                        sequential_seconds / sharded_seconds
                         if sharded_seconds
                         else None
                     ),
@@ -614,7 +537,7 @@ INCREMENTAL_SMOKE_MUTATIONS = 6
 
 
 def _incremental_mutations(query, chains: int, count: int, seed: int):
-    """Single-block mutations against a ``parallel_bench_instance`` database.
+    """Single-block mutations against a ``chain_bench_instance`` database.
 
     Each mutation adds one key-conflicting fact to the block of an existing
     chain link — the block-local write pattern a mutation-heavy workload
@@ -638,12 +561,12 @@ def run_incremental_benchmark(
     from repro.incremental import ViewManager, delta_candidates
     from repro.model.database import ChangeSet
 
-    query = parallel_bench_query()
+    query = chain_bench_query()
     results: List[Dict] = []
     all_agree = True
     only_dependents = True
     for chains in sizes:
-        db = parallel_bench_instance(query, chains, seed=seed)
+        db = chain_bench_instance(query, chains, seed=seed)
         with CertaintySession(db) as cold_session, ViewManager(db) as manager:
             materialize_start = time.perf_counter()
             view = manager.register(query)
@@ -726,11 +649,11 @@ def run_columnar_benchmark(
     answer sets are identical before any timing is recorded, so a kernel
     bug can never masquerade as a speedup.
     """
-    query = parallel_bench_query()
+    query = chain_bench_query()
     results: List[Dict] = []
     all_agree = True
     for chains in sizes:
-        db = parallel_bench_instance(query, chains, seed=seed)
+        db = chain_bench_instance(query, chains, seed=seed)
         with CertaintySession(db, backend="object") as object_session:
             with CertaintySession(db, backend="columnar") as columnar_session:
                 object_answers = object_session.certain_answers(query)
@@ -898,10 +821,10 @@ def run_all_bands_benchmark(
 
     bands: List[Dict] = []
 
-    fo_query = parallel_bench_query()
+    fo_query = chain_bench_query()
     fo_rows = [
         {"size": size, **_time_backends(
-            fo_query, parallel_bench_instance(fo_query, size, seed=seed), repeats
+            fo_query, chain_bench_instance(fo_query, size, seed=seed), repeats
         )}
         for size in sizes
     ]
@@ -1100,38 +1023,6 @@ def _emit_fo_rewriting(args: argparse.Namespace, output: pathlib.Path) -> int:
     return 0
 
 
-def _emit_parallel_answers(args: argparse.Namespace, output: pathlib.Path) -> int:
-    if args.sizes:
-        candidates = args.sizes[0]  # chain count for this suite
-    else:
-        candidates = PARALLEL_SMOKE_CANDIDATES if args.smoke else PARALLEL_FULL_CANDIDATES
-    report = run_parallel_benchmark(candidates, repeats=1 if args.smoke else 3)
-    output.write_text(json.dumps(report, indent=2) + "\n")
-    print(
-        f"sequential: {report['sequential_seconds']:.4f}s over "
-        f"{report['candidate_answers']} candidates ({report['facts']} facts, "
-        f"{report['cpu_count']} cpus)"
-    )
-    for row in report["results"]:
-        print(
-            f"workers={row['workers']} parallel={row['parallel_seconds']:.4f}s "
-            f"speedup={row['speedup_vs_sequential']:.2f}x agree={row['agree']}"
-        )
-    fast_path = report["purify_fast_path"]
-    print(
-        f"purify fast path: {fast_path['copies']} copies over "
-        f"{fast_path['repurify_runs']} re-purifications"
-    )
-    print(f"wrote {output}")
-    if not report["all_agree"]:
-        print("ERROR: parallel and sequential answers disagree", file=sys.stderr)
-        return 1
-    if not fast_path["zero_copies"]:
-        print("ERROR: purify copied an already-purified database", file=sys.stderr)
-        return 1
-    return 0
-
-
 def _emit_sharded_runtime(args: argparse.Namespace, output: pathlib.Path) -> int:
     if args.sizes:
         sizes: Sequence[int] = args.sizes
@@ -1153,6 +1044,7 @@ def _emit_sharded_runtime(args: argparse.Namespace, output: pathlib.Path) -> int
                 f"rebuild={worker_row['rebuild_seconds']:.4f}s "
                 f"sharded={worker_row['sharded_seconds']:.4f}s "
                 f"speedup={worker_row['speedup_delta_vs_rebuild']:.2f}x "
+                f"vs_sequential={worker_row['speedup_vs_sequential']:.2f}x "
                 f"snapshot_shipped={worker_row['snapshot_bytes_shipped']}B "
                 f"delta_shipped={worker_row['delta_bytes_shipped']}B "
                 f"max_flush={worker_row['max_flush_bytes']}B "
@@ -1446,13 +1338,13 @@ def run_durability_benchmark(
     asserted identical to the live pre-crash state (and the rebuild leg's
     likewise), so the guarded ratio can never trade correctness for speed.
     """
-    query = parallel_bench_query()
+    query = chain_bench_query()
     results: List[Dict] = []
     all_agree = True
     with tempfile.TemporaryDirectory(prefix="repro-durability-") as base:
         for tail in tails:
             workdir = pathlib.Path(base) / f"tail{tail}"
-            db = parallel_bench_instance(query, chains, seed=seed)
+            db = chain_bench_instance(query, chains, seed=seed)
             mutations = pre_mutations + tail
             # The full history an external source-of-truth would replay:
             # the initial bulk load, then every recorded mutation batch.
@@ -1739,9 +1631,7 @@ def run_fault_recovery_benchmark(
 
         expected = None
         for _ in range(repeats):
-            _seconds, per_step, _session = _replay_stream(
-                db0, batches, query, lambda db: CertaintySession(db)
-            )
+            _seconds, per_step = _replay_sequential(db0, batches, query)
             expected = per_step
 
         clean = _fault_recovery_shard_leg(
@@ -1854,7 +1744,6 @@ def _emit_fault_recovery(args: argparse.Namespace, output: pathlib.Path) -> int:
 
 _DEFAULT_OUTPUTS = {
     "fo_rewriting": "BENCH_fo_rewriting.json",
-    "parallel_answers": "BENCH_parallel_answers.json",
     "sharded_runtime": "BENCH_sharded_runtime.json",
     "incremental_views": "BENCH_incremental_views.json",
     "columnar_store": "BENCH_columnar_store.json",
@@ -1871,7 +1760,6 @@ def main(argv: Sequence[str] = ()) -> int:
         "--suite",
         choices=(
             "fo_rewriting",
-            "parallel_answers",
             "sharded_runtime",
             "incremental_views",
             "columnar_store",
@@ -1891,8 +1779,7 @@ def main(argv: Sequence[str] = ()) -> int:
         type=int,
         nargs="*",
         default=None,
-        help="explicit scaling sizes (fo_rewriting: domain sizes; "
-        "parallel_answers: the first value is the planted-chain count)",
+        help="explicit scaling sizes (fo_rewriting: domain sizes)",
     )
     parser.add_argument(
         "--output",
@@ -1906,8 +1793,6 @@ def main(argv: Sequence[str] = ()) -> int:
         output = (
             pathlib.Path(__file__).resolve().parents[1] / _DEFAULT_OUTPUTS[args.suite]
         )
-    if args.suite == "parallel_answers":
-        return _emit_parallel_answers(args, output)
     if args.suite == "sharded_runtime":
         return _emit_sharded_runtime(args, output)
     if args.suite == "incremental_views":

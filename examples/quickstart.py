@@ -10,7 +10,6 @@ sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
 from repro import (
     CertaintySession,
-    ParallelCertaintySession,
     ShardedCertaintySession,
     UncertainDatabase,
     ViewManager,
@@ -89,19 +88,10 @@ def main() -> None:
         print("db |= rewriting:", session.evaluate_formula(formula))
 
     # 6. Scaling out: the candidate groundings of certain_answers are
-    #    independent CERTAINTY instances, so a ParallelCertaintySession
-    #    shards them across a process pool.  Each worker receives one
-    #    immutable snapshot of the database (facts are immutable, so the
-    #    snapshot is exact) and decides its chunk with the ordinary
-    #    sequential machinery — the answer set is guaranteed identical.
-    #    Small inputs skip the pool automatically; mutations between calls
-    #    are detected and trigger a fresh snapshot.
-    with ParallelCertaintySession(db, max_workers=4) as parallel_session:
-        parallel_answers = parallel_session.certain_answers(open_query)
-        names = sorted(value.value for (value,) in parallel_answers)
-        print("\nparallel certain answers (4 workers):", names)
-        print("identical to the sequential set:", parallel_answers == answers)
-        # One-shot equivalent: certain_answers_parallel(db, open_query).
+    #    independent CERTAINTY instances, so they can be decided in
+    #    parallel.  The one way to do that is the ShardedCertaintySession
+    #    of step 10; a warm CertaintySession, as above, is the baseline
+    #    it has to beat.
 
     # 7. Keeping certain answers fresh: under mutation-heavy traffic,
     #    recomputing certain_answers per write wastes almost all of its
@@ -134,7 +124,7 @@ def main() -> None:
     #    enumeration, purify sweeps, batched deciding — runs on tuples of
     #    small ints instead of Constant objects (5-10x on batched
     #    certain_answers; see BENCH_columnar_store.json).  Read sets shrink
-    #    to dense block ids, and parallel workers receive flat id arrays
+    #    to dense block ids, and store snapshots carry flat id arrays
     #    plus raw values instead of pickled fact graphs.  The object-level
     #    path remains the differential reference: pass backend="object" to
     #    CertaintySession/ViewManager to run on plain fact dictionaries —
@@ -144,7 +134,7 @@ def main() -> None:
         print("\ncolumnar store:", store)
         print("store memory:", store.memory_stats())
         snapshot = store.snapshot()
-        print("worker snapshot:", snapshot)
+        print("columnar snapshot:", snapshot)
         with CertaintySession(db, backend="object") as reference:
             print("backends agree:",
                   session.certain_answers(open_query)
@@ -294,11 +284,11 @@ def main() -> None:
     #     runtime is built to contain them: the shard supervisor serves
     #     the affected candidates inline, restarts the dead worker with a
     #     fresh bootstrap (backoff-gated), and if a shard keeps dying
-    #     degrades sharded -> parallel -> serial, probing its way back up
-    #     once the faults clear.  Two deadlines bound every dispatch: the
-    #     worker's dispatch window (missing it kills the worker) and the
-    #     caller's end-to-end request budget (blowing it raises
-    #     DeadlineExceeded but leaves healthy workers alive — their late
+    #     degrades sharded -> serial (decides on the parent), probing its
+    #     way back up once the faults clear.  Two deadlines bound every
+    #     dispatch: the worker's dispatch window (missing it kills the
+    #     worker) and the caller's end-to-end request budget (blowing it
+    #     raises DeadlineExceeded but leaves healthy workers alive — their late
     #     replies are fenced by per-command sequence ids, never paired
     #     with a later request).  The service's per-tenant circuit breaker
     #     sheds queued-band load (CircuitOpen) while FO-band requests stay

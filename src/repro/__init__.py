@@ -113,11 +113,9 @@ from .engine import (
     CacheStats,
     CertaintySession,
     DeadlineExceeded,
-    ParallelCertaintySession,
     PlanCache,
     QueryPlan,
     ShardedCertaintySession,
-    certain_answers_parallel,
     certain_answers_sharded,
     compile_plan,
     default_plan_cache,
@@ -213,7 +211,6 @@ __all__ = [
     "IntractableQueryError",
     "JoinTree",
     "MaterializedCertainView",
-    "ParallelCertaintySession",
     "PlanCache",
     "QueryPlan",
     "RelationSchema",
@@ -231,7 +228,6 @@ __all__ = [
     "__version__",
     "build_join_tree",
     "certain_answers",
-    "certain_answers_parallel",
     "certain_answers_sharded",
     "certain_brute_force",
     "certain_cycle_query",

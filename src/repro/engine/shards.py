@@ -1,11 +1,10 @@
 """Delta-shipped shard runtime: long-lived block-hash-sharded workers.
 
-:class:`~repro.engine.parallel.ParallelCertaintySession` treats every
-mutation as fatal: a stale snapshot tears the whole pool down and re-ships
-the full columnar snapshot, so write-bearing workloads pay O(database)
-re-serialization per dispatch.  This module replaces the
-snapshot-per-rebuild model with a *partitioned, continuously maintained*
-one:
+Every candidate grounding of an open query is its own CERTAINTY(q)
+instance, so the candidate loop can fan out.  Re-shipping a full database
+snapshot to the workers after each mutation would cost O(database)
+re-serialization per dispatch on write-bearing workloads; this module
+keeps a *partitioned, continuously maintained* replica instead:
 
 * the database is partitioned by a **stable hash of the block key** into N
   shards (:func:`shard_of_key`) — relation-name-agnostic, so same-key
@@ -50,6 +49,7 @@ from __future__ import annotations
 import multiprocessing
 import os
 import pickle
+import sys
 import time
 import traceback
 import zlib
@@ -57,7 +57,6 @@ from typing import (
     Any,
     Callable,
     Dict,
-    Iterable,
     List,
     Optional,
     Sequence,
@@ -75,12 +74,47 @@ from ..model.symbols import Constant, is_constant
 from ..query.conjunctive import ConjunctiveQuery
 from ..store import InternTable
 from .cache import PlanCache
-from .parallel import _pool_mp_context
 from .session import CertaintySession
+
+
+def _pool_mp_context() -> Optional[multiprocessing.context.BaseContext]:
+    """The start-method context for shard workers.
+
+    ``fork`` (the Linux default) duplicates the parent mid-flight, including
+    any *held* lock — and this engine holds locks (plan cache, formula memo,
+    classify counter) precisely when other threads are busy, so a fork racing
+    a compile could hand workers a lock nobody will ever release.
+    ``forkserver`` forks workers from a clean, single-threaded server
+    process instead (and is still far cheaper than ``spawn``); platforms
+    without it (Windows) fall back to their default, which is the equally
+    safe ``spawn``.
+
+    One carve-out: forkserver (like spawn) re-imports the parent's
+    ``__main__`` in each worker, which is impossible when the parent runs
+    from stdin or an embedded interpreter (``__main__.__file__`` names no
+    real file) — workers would crash at startup.  Those parents fall back
+    to the platform default (``fork``), which needs no re-import.
+    """
+    main_file = getattr(sys.modules.get("__main__"), "__file__", None)
+    if main_file is not None and not os.path.exists(main_file):
+        return None
+    try:
+        return multiprocessing.get_context("forkserver")
+    except ValueError:  # pragma: no cover - Windows
+        return None
+
 
 #: Candidate tuples below this count decide inline: one pipe round-trip
 #: costs more than a handful of sequential decisions.
 MIN_SHARD_CANDIDATES = 4
+
+#: Seconds a freshly spawned worker gets to acknowledge its bootstrap
+#: partition.  That first reply also covers process spawn and package
+#: import, so it gets its own window: a per-command ``dispatch_deadline``
+#: tight enough to catch a stalled decide would otherwise kill every worker
+#: before it finished starting.  A longer ``dispatch_deadline`` (or
+#: ``None``) still governs when it is the more generous of the two.
+BOOTSTRAP_REPLY_WINDOW = 30.0
 
 #: Routing-table sentinel: the candidate's last decision was not
 #: shard-local, so route it straight to the parent next time.
@@ -97,9 +131,9 @@ _RelationSig = Tuple[str, int, int]  # (name, arity, key_size)
 _RowGroup = Tuple[str, int, int, Tuple[Tuple[int, ...], ...]]
 
 #: Graceful-degradation ladder: a session whose workers keep failing steps
-#: down one level at a time; a probe every few degraded dispatches tries
-#: to climb back to sharded serving.
-DEGRADATION_LADDER = ("sharded", "parallel", "serial")
+#: down to serving every decision from the parent session; a probe every
+#: few degraded dispatches tries to climb back to sharded serving.
+DEGRADATION_LADDER = ("sharded", "serial")
 
 
 class DeadlineExceeded(TimeoutError):
@@ -182,10 +216,10 @@ class ShardStats:
         aborted earlier (a caller deadline expired mid-gather) — fencing
         that keeps an old verdict from pairing with a new candidate bucket;
     ``degradations``
-        steps taken down the sharded→parallel→serial ladder after a shard
+        steps taken down the sharded→serial ladder after a shard
         exhausted its restart budget;
     ``degraded_decides``
-        candidates served while degraded (threaded-parallel or serial);
+        candidates served by the parent session while degraded;
     ``heartbeats``
         explicit :meth:`ShardedCertaintySession.heartbeat` sweeps.
     """
@@ -529,7 +563,8 @@ class ShardedCertaintySession:
         declares it dead (``None`` disables — waits forever).  Contains a
         stalled or wedged worker to one shard: its bucket re-decides on
         the parent, the process is killed, and a backoff-gated restart is
-        scheduled.
+        scheduled.  A new worker's bootstrap reply waits at least
+        :data:`BOOTSTRAP_REPLY_WINDOW` instead, since it includes spawn.
     restart_backoff / max_backoff:
         Base and cap of the exponential restart backoff: after ``k``
         consecutive failures of one shard, the next restart attempt waits
@@ -537,7 +572,7 @@ class ShardedCertaintySession:
         backoff the shard's candidates serve from the parent inline.
     degrade_after_failures:
         Consecutive failures of any single shard after which the session
-        **degrades** one step down the sharded→parallel→serial ladder
+        **degrades** one step down the sharded→serial ladder
         (counted in ``stats.degradations``).  Failure counts reset on any
         successful reply from the shard, so only persistent inability to
         serve escalates.
@@ -617,9 +652,8 @@ class ShardedCertaintySession:
         self._probe_interval = max(1, degraded_probe_interval)
         self._failures = [0] * self._n_shards
         self._backoff_until = [0.0] * self._n_shards
-        self._degraded: Optional[str] = None  # None | "parallel" | "serial"
+        self._degraded: Optional[str] = None  # None | "serial"
         self._degraded_since_probe = 0
-        self._parallel_fallback = None
         #: query -> candidate -> owning shard (or _PARENT), learned from
         #: validated decisions; a cheap guess seeds unknown candidates.
         self._routing: Dict[ConjunctiveQuery, Dict[Tuple[Constant, ...], int]] = {}
@@ -633,7 +667,6 @@ class ShardedCertaintySession:
         if self._closed:
             return
         self._teardown_workers()
-        self._close_parallel_fallback()
         self._db.unregister_observer(self._router)
         self._inner.close()
         self._closed = True
@@ -661,14 +694,6 @@ class ShardedCertaintySession:
             worker.conn.close()
         self._workers = None
         self._pending = [_PendingDelta() for _ in range(self._n_shards)]
-
-    def _close_parallel_fallback(self) -> None:
-        if self._parallel_fallback is not None:
-            try:
-                self._parallel_fallback.close()
-            except Exception:  # pragma: no cover - best-effort teardown
-                pass
-            self._parallel_fallback = None
 
     # -- views -------------------------------------------------------------------
 
@@ -752,7 +777,7 @@ class ShardedCertaintySession:
 
     @property
     def degraded_mode(self) -> Optional[str]:
-        """``None`` while sharded; ``"parallel"``/``"serial"`` once degraded."""
+        """``None`` while sharded; ``"serial"`` once degraded."""
         return self._degraded
 
     # -- sequential delegates ----------------------------------------------------
@@ -860,18 +885,19 @@ class ShardedCertaintySession:
             relation = fact.relation
             sig = (relation.name, relation.arity, relation.key_size)
             pending.record(sig, self._wire_table.intern_many(fact.terms), True)
-        self._flush_shard(shard, bootstrap=True)
+        self._flush_bootstrap(shard)
 
-    def _flush_shard(self, shard: int, bootstrap: bool = False) -> None:
-        """Ship one shard's pending delta; raise on any worker problem."""
+    def _flush_bootstrap(self, shard: int) -> None:
+        """Ship a new worker its partition; raise on any worker problem.
+
+        Sent even when the partition is empty, so every new worker's spawn
+        is acknowledged inside :data:`BOOTSTRAP_REPLY_WINDOW`.
+        """
         assert self._workers is not None
         worker = self._workers[shard]
         assert worker is not None
-        pending = self._pending[shard]
         values = self._wire_table.values_since(worker.watermark)
-        if not pending and not values:
-            return
-        added, discarded = pending.take()
+        added, discarded = self._pending[shard].take()
         seq = worker.next_seq
         worker.next_seq = seq + 1
         payload = pickle.dumps(
@@ -880,24 +906,17 @@ class ShardedCertaintySession:
         )
         worker.conn.send_bytes(payload)
         worker.watermark += len(values)
-        facts = sum(len(group[3]) for group in added + discarded)
-        if bootstrap:
-            self.stats.bootstrap_bytes_shipped += len(payload)
-        else:
-            self.stats.delta_flushes += 1
-            self.stats.delta_bytes_shipped += len(payload)
-            self.stats.delta_facts_shipped += facts
-            self.stats.max_flush_bytes = max(self.stats.max_flush_bytes, len(payload))
+        self.stats.bootstrap_bytes_shipped += len(payload)
         timeout = self._dispatch_deadline
-        if timeout is not None and not worker.conn.poll(timeout):
-            raise _WorkerFailure(f"shard {shard} delta flush timed out")
+        if timeout is not None:
+            timeout = max(timeout, BOOTSTRAP_REPLY_WINDOW)
+            if not worker.conn.poll(timeout):
+                raise _WorkerFailure(f"shard {shard} bootstrap timed out")
         reply = worker.conn.recv()
         if reply[0] != seq or reply[1] != "ok":
             raise _WorkerFailure(reply[2] if len(reply) > 2 else reply)
 
-    def _flush_deltas(
-        self, bootstrap: bool = False, deadline: Optional[float] = None
-    ) -> None:
+    def _flush_deltas(self, deadline: Optional[float] = None) -> None:
         """Ship pending deltas (and new intern values) to every live stale shard.
 
         Failure-contained: a shard whose pipe drops, whose worker dies
@@ -923,14 +942,12 @@ class ShardedCertaintySession:
             seq, nbytes = sent
             worker.watermark += len(values)
             flushed.append((shard, seq))
-            facts = sum(len(group[3]) for group in added + discarded)
-            if bootstrap:
-                self.stats.bootstrap_bytes_shipped += nbytes
-            else:
-                self.stats.delta_flushes += 1
-                self.stats.delta_bytes_shipped += nbytes
-                self.stats.delta_facts_shipped += facts
-                self.stats.max_flush_bytes = max(self.stats.max_flush_bytes, nbytes)
+            self.stats.delta_flushes += 1
+            self.stats.delta_bytes_shipped += nbytes
+            self.stats.delta_facts_shipped += sum(
+                len(group[3]) for group in added + discarded
+            )
+            self.stats.max_flush_bytes = max(self.stats.max_flush_bytes, nbytes)
         for shard, seq in flushed:
             reply = self._recv_from(shard, seq, deadline)
             if reply is None:
@@ -1080,19 +1097,14 @@ class ShardedCertaintySession:
             self._degrade()
 
     def _degrade(self) -> None:
-        """Step down the sharded→parallel→serial ladder (teardown deferred).
+        """Step down the sharded→serial ladder (teardown deferred).
 
-        One rung per failure episode: the failure ledger resets on entry,
-        so N shards dying together cost one step, not N — each tier gets
-        its own full budget before the next step down.
+        One step per failure episode: the failure ledger resets on entry,
+        so N shards dying together cost one step, not N.
         """
-        if self._degraded is None:
-            self._degraded = "parallel"
-        elif self._degraded == "parallel":
-            self._degraded = "serial"
-            self._close_parallel_fallback()
-        else:
+        if self._degraded is not None:
             return
+        self._degraded = "serial"
         self.stats.degradations += 1
         self._degraded_since_probe = 0
         self._failures = [0] * self._n_shards
@@ -1169,7 +1181,7 @@ class ShardedCertaintySession:
         Failure containment: individual worker deaths are absorbed by the
         supervisor (dead shards' buckets re-decide on the parent inline),
         repeated failures step the session down the
-        sharded→parallel→serial :data:`DEGRADATION_LADDER`, and only an
+        sharded→serial :data:`DEGRADATION_LADDER`, and only an
         exhausted *deadline* escapes as :class:`DeadlineExceeded`.
         """
         self._check_open()
@@ -1226,12 +1238,10 @@ class ShardedCertaintySession:
             raise DeadlineExceeded("request deadline expired in degraded mode")
         self._degraded_since_probe += 1
         if self._degraded_since_probe > self._probe_interval:
-            mode = self._degraded
             self._degraded = None
             self._degraded_since_probe = 0
             self._failures = [0] * self._n_shards
             self._backoff_until = [0.0] * self._n_shards
-            self._close_parallel_fallback()
             try:
                 result = self.decide_candidates(
                     query,
@@ -1241,10 +1251,10 @@ class ShardedCertaintySession:
                     deadline=deadline,
                 )
             except DeadlineExceeded:
-                self._degraded = mode
+                self._degraded = "serial"
                 raise
             except (_WorkerFailure, BrokenPipeError, EOFError, OSError):
-                self._degraded = mode
+                self._degraded = "serial"
             else:
                 if self._degraded is None and (
                     self._workers is None
@@ -1252,41 +1262,15 @@ class ShardedCertaintySession:
                 ):
                     # Every answer came from the parent fallback: the pool
                     # never actually recovered, so the probe failed.
-                    self._degraded = mode
+                    self._degraded = "serial"
                 return result
         self.stats.degraded_decides += len(candidates)
-        if self._degraded == "parallel":
-            try:
-                session = self._parallel_session()
-                certain = session.decide_candidates(
-                    query, candidates, allow_exponential=allow, support=support
-                )
-                self._portabilize(support)
-                return certain
-            except DeadlineExceeded:
-                raise
-            except Exception:
-                self._degrade()  # thread tier failed too: drop to serial
         certain = self._inner.decide_candidates(
             query, candidates, allow_exponential=allow, support=support
         )
         self._portabilize(support)
         self.stats.parent_decides += len(candidates)
         return certain
-
-    def _parallel_session(self):
-        """The lazily-built thread-mode fallback session (degraded tier 2)."""
-        if self._parallel_fallback is None:
-            from ..store.intern import InternTable
-            from .parallel import ParallelCertaintySession
-
-            self._parallel_fallback = ParallelCertaintySession(
-                self._db,
-                mode="thread",
-                allow_exponential=self._allow_exponential,
-                intern_table=InternTable(),
-            )
-        return self._parallel_fallback
 
     def _scatter(
         self,

@@ -31,8 +31,6 @@ Sites and the kinds they honour:
                              the watermark-consistency crash window
 ``shard.pipe``               ``drop`` (the parent closes the worker pipe
                              before sending)
-``parallel.dispatch``        ``error`` (the process-pool dispatch raises
-                             ``BrokenExecutor``)
 ``wal.write``                ``torn`` (only a prefix of the frame lands,
                              then the append raises ``OSError``)
 ``wal.fsync``                ``error`` (``fsync`` raises ``OSError``)

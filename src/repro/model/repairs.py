@@ -110,9 +110,16 @@ def count_possible_worlds(db: UncertainDatabase) -> int:
 
 
 def random_repair(db: UncertainDatabase, rng: Optional[random.Random] = None) -> Repair:
-    """Sample a repair uniformly at random."""
+    """Sample a repair uniformly at random.
+
+    Blocks draw in :func:`enumerate_repairs` order, so a seeded *rng* picks
+    the same repair however the database was populated.
+    """
     rng = rng if rng is not None else random.Random()
-    return frozenset(rng.choice(sorted(block, key=str)) for block in db.blocks())
+    return frozenset(
+        rng.choice(sorted(block, key=str))
+        for block in sorted(db.blocks(), key=_block_sort_key)
+    )
 
 
 def greedy_repair(

@@ -30,10 +30,10 @@ Snapshots
 :meth:`ColumnarFactStore.snapshot` copies the id arrays (a C-level
 ``memcpy`` per column) and the raw values of the term ids in use — no fact
 objects, no per-fact pickling.  The resulting :class:`ColumnarSnapshot` is
-the wire format the parallel session ships to worker processes; it decodes
-back into facts (or a fresh store) in any process regardless of hash salt,
-because only raw values travel (see the interning invariants in
-:mod:`repro.store.intern`).
+a compact wire format for shipping a whole store to another process; it
+decodes back into facts (or a fresh store) in any process regardless of
+hash salt, because only raw values travel (see the interning invariants
+in :mod:`repro.store.intern`).
 """
 
 from __future__ import annotations

@@ -37,8 +37,12 @@ def _domain(size: int, prefix: str = "c") -> List[str]:
 def random_valuation(
     query: ConjunctiveQuery, domain: Sequence[str], rng: random.Random
 ) -> Valuation:
-    """A uniformly random valuation of the query variables over *domain*."""
-    return Valuation({v: Constant(rng.choice(domain)) for v in query.variables})
+    """A uniformly random valuation of the query variables over *domain*.
+
+    Variables draw in name order: ``query.variables`` is a frozenset, whose
+    iteration order follows the per-process hash seed.
+    """
+    return Valuation({v: Constant(rng.choice(domain)) for v in sorted(query.variables)})
 
 
 def synthetic_instance(
@@ -69,8 +73,9 @@ def synthetic_instance(
         for _ in range(noise_per_relation):
             db.add(relation.fact(*[rng.choice(domain) for _ in range(relation.arity)]))
 
-    # Add conflicting facts: same key, fresh non-key values.
-    for fact in list(db.facts):
+    # Add conflicting facts: same key, fresh non-key values.  Sorted so the
+    # RNG draws do not depend on frozenset (hash-seed) iteration order.
+    for fact in sorted(db.facts, key=str):
         relation = fact.relation
         if relation.is_all_key or rng.random() >= conflict_rate:
             continue

@@ -9,7 +9,6 @@ seeds (:meth:`FaultPlan.random`), so a failing schedule reproduces from
 its seed alone.
 """
 
-import os
 import threading
 import time
 from concurrent.futures import TimeoutError as FutureTimeoutError
@@ -24,7 +23,6 @@ from repro import (
     parse_query,
 )
 from repro.durability import DurabilityError, DurableStore
-from repro.engine.parallel import ParallelCertaintySession
 from repro.engine.shards import DeadlineExceeded
 from repro.faults import (
     SITE_KINDS,
@@ -318,8 +316,8 @@ class TestDegradationLadder:
         query = open_variant(path_query(3), "x1")
         db = synthetic_instance(query, seed=4, domain_size=6, witnesses=12)
         # Every command kills every worker, forever: restarts can never
-        # succeed, so the session must walk down the ladder — and still
-        # serve exact answers from the degraded tiers.
+        # succeed, so the session must step down to serial — and still
+        # serve exact answers from the parent session.
         plan = FaultPlan([FaultSpec("shard.worker.command", "kill", at=1, count=0)])
         expected = certain_answers(db, query)
         with inject(plan):
@@ -336,7 +334,7 @@ class TestDegradationLadder:
                 # exhaust degrade_after_failures=2 and step the ladder down.
                 assert session.certain_answers(query) == expected
                 assert session.certain_answers(query) == expected
-                assert session.degraded_mode in ("parallel", "serial")
+                assert session.degraded_mode == "serial"
                 assert session.stats.degradations >= 1
                 first_mode = session.degraded_mode
                 for _ in range(4):  # degraded serving stays exact
@@ -349,7 +347,7 @@ class TestDegradationLadder:
         ) as fresh:
             assert fresh.certain_answers(query) == expected
             assert fresh.degraded_mode is None
-        assert first_mode == "parallel"
+        assert first_mode == "serial"
 
     def test_probe_recovers_after_faults_clear(self):
         query = open_variant(path_query(3), "x1")
@@ -409,20 +407,6 @@ class TestDeadlines:
                 query, deadline=time.monotonic() + 30.0
             )
             assert answers == certain_answers(db, query)
-
-
-class TestParallelDispatchFault:
-    def test_broken_executor_recovers_with_a_fresh_pool(self):
-        query = open_variant(path_query(3), "x1")
-        db = synthetic_instance(query, seed=8, domain_size=6, witnesses=12)
-        expected = certain_answers(db, query)
-        plan = FaultPlan([FaultSpec("parallel.dispatch", "error", at=1)])
-        with inject(plan) as injector:
-            with ParallelCertaintySession(
-                db, mode="thread", min_parallel_candidates=1
-            ) as session:
-                assert session.certain_answers(query) == expected
-            assert ("parallel.dispatch", "error", 1) in injector.fired
 
 
 class TestDurabilityChaos:

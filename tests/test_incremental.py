@@ -473,7 +473,7 @@ class TestSupportPrecision:
         db = synthetic_instance(
             query, seed=2, domain_size=6, witnesses=12, noise_per_relation=8
         )
-        with ViewManager(db, parallel_workers=2, parallel_min_dirty=1) as manager:
+        with ViewManager(db, shard_workers=2, parallel_min_dirty=1) as manager:
             view = manager.register(query)
             assert view.answers == cold_answers(db, query, False)
             for batch in mutation_stream(query, db, steps=4, seed=9, domain_size=6):
@@ -629,18 +629,18 @@ class TestManagerLifecycle:
                 ViewManager(other, session=session)
 
     def test_supplied_session_policy_governs_parallel_fanout(self):
-        """A supplied session's allow_exponential must extend to the pool."""
+        """A supplied session's allow_exponential must extend to the shards."""
         query = open_variant(figure2_q1(), "z")
         db = synthetic_instance(query, seed=1, domain_size=3, witnesses=4)
         with CertaintySession(db, allow_exponential=True) as session:
             with ViewManager(
-                db, session=session, parallel_workers=2, parallel_min_dirty=1
+                db, session=session, shard_workers=2, parallel_min_dirty=1
             ) as manager:
                 view = manager.register(query)  # coarse: refreshes fan out
                 relation = query.atoms[0].relation
                 db.add(relation.fact(*["c0"] * relation.arity))
                 # Without the policy alignment this raises IntractableQueryError
-                # inside the parallel re-decision once the dirty set fans out.
+                # inside the sharded re-decision once the dirty set fans out.
                 assert view.answers == cold_answers(db, query, True)
 
     def test_refresh_all_prunes_stale_candidates(self):

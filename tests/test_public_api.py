@@ -1,5 +1,8 @@
 """End-to-end tests of the public API surface (the quickstart workflow)."""
 
+import pathlib
+import subprocess
+import sys
 
 import repro
 from repro import (
@@ -31,6 +34,14 @@ class TestQuickstart:
         )
         assert classify(q).band is ComplexityBand.FO
         assert is_certain(db, q) is False
+
+    def test_quickstart_script_runs(self):
+        repo = pathlib.Path(__file__).resolve().parents[1]
+        script = repo / "examples" / "quickstart.py"
+        result = subprocess.run(
+            [sys.executable, str(script)], capture_output=True, text=True, timeout=300
+        )
+        assert result.returncode == 0, result.stderr
 
     def test_version_exposed(self):
         assert repro.__version__ == "1.0.0"

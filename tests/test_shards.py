@@ -15,7 +15,6 @@ import random
 import pytest
 
 from repro import (
-    ParallelCertaintySession,
     ShardedCertaintySession,
     UncertainDatabase,
     ViewManager,
@@ -348,11 +347,6 @@ class TestShardedViewMaintenance:
             sharded = manager.sharded_session
             assert sharded is not None and sharded.stats.worker_restarts == 0
 
-    def test_shard_workers_excludes_parallel_workers(self):
-        db = UncertainDatabase()
-        with pytest.raises(ValueError):
-            ViewManager(db, parallel_workers=2, shard_workers=2)
-
     def test_support_index_routes_dirty_candidates(self):
         query = parse_query("R(x | y), S(x | z)", free=["x"])
         schema = query.schema()
@@ -413,60 +407,6 @@ class TestSupportIndexRouting:
         decodable = SupportIndex(block_key_decoder=lambda block_id: ("R", key))
         decodable.set(("c",), rs)
         assert decodable.route(("c",), fn) == shard_of_key(key, 2)
-
-
-class TestParallelRebuildCoalescing:
-    def _session(self, db):
-        return ParallelCertaintySession(
-            db,
-            max_workers=2,
-            mode="process",
-            min_parallel_candidates=1,
-            track_bytes=True,
-        )
-
-    def test_batch_bumps_version_once(self):
-        query = open_variant(path_query(3), "x1")
-        db = synthetic_instance(query, seed=1, domain_size=6, witnesses=12)
-        with self._session(db) as session:
-            before = session._version.version
-            relation = query.atoms[0].relation
-            with db.batch():
-                for i in range(10):
-                    db.add(relation.fact(f"m{i}", f"m{i + 1}"))
-            assert session._version.version == before + 1
-
-    def test_mutations_between_dispatches_cost_one_rebuild(self):
-        query = open_variant(path_query(3), "x1")
-        db = synthetic_instance(query, seed=1, domain_size=6, witnesses=12)
-        expected_rebuilds = 1  # the initial pool build
-        with self._session(db) as session:
-            session.certain_answers(query)
-            assert session.stats.rebuilds == expected_rebuilds
-            relation = query.atoms[0].relation
-            for round_ in range(2):
-                # M unbatched mutations + one batch between two dispatches...
-                for i in range(5):
-                    db.add(relation.fact(f"r{round_}_{i}", f"r{round_}_{i + 1}"))
-                with db.batch():
-                    db.add(relation.fact(f"rb{round_}", "x"))
-                    db.add(relation.fact(f"rc{round_}", "y"))
-                session.certain_answers(query)
-                expected_rebuilds += 1  # ...trigger exactly one rebuild
-                assert session.stats.rebuilds == expected_rebuilds
-            # Reads without interleaved writes never rebuild.
-            session.certain_answers(query)
-            assert session.stats.rebuilds == expected_rebuilds
-            assert session.stats.dispatches >= 4
-            assert session.stats.snapshot_bytes_shipped > 0
-
-    def test_serial_decides_counted(self):
-        query = open_variant(path_query(3), "x1")
-        db = synthetic_instance(query, seed=1, domain_size=6, witnesses=12)
-        with ParallelCertaintySession(db, max_workers=2, mode="serial") as session:
-            session.certain_answers(query)
-            assert session.stats.serial_decides > 0
-            assert session.stats.rebuilds == 0
 
 
 class TestSkewedGenerators:

@@ -19,7 +19,6 @@ import sys
 import pytest
 
 from repro import CertaintySession, UncertainDatabase, parse_facts, parse_query
-from repro.engine import ParallelCertaintySession
 from repro.model.atoms import RelationSchema
 from repro.model.symbols import Constant, Variable
 from repro.query import ConjunctiveQuery, figure2_q1, figure4_query
@@ -432,38 +431,11 @@ class TestBackendDifferential:
 
 
 # --------------------------------------------------------------------------------
-# Parallel: columnar snapshots across process boundaries
+# Columnar snapshots: the compact cross-process wire format
 # --------------------------------------------------------------------------------
 
 
 class TestColumnarParallel:
-    def test_process_pool_matches_sequential_with_columnar_snapshot(self):
-        query = open_variant(path_query(3), "x1")
-        db = synthetic_instance(query, seed=2, domain_size=6, witnesses=12)
-        with CertaintySession(db) as sequential:
-            expected = sequential.certain_answers(query)
-        with ParallelCertaintySession(
-            db, max_workers=2, mode="process", min_parallel_candidates=1
-        ) as parallel:
-            assert parallel._inner.store is not None  # snapshot path active
-            assert parallel.certain_answers(query) == expected
-
-    def test_worker_read_sets_come_back_portable(self):
-        query = open_variant(path_query(3), "x1")
-        db = synthetic_instance(query, seed=4, domain_size=6, witnesses=12)
-        with ParallelCertaintySession(
-            db, max_workers=2, mode="process", min_parallel_candidates=1
-        ) as parallel:
-            candidates = parallel._inner.candidate_answers(query)
-            support = {}
-            parallel.decide_candidates(query, candidates, support=support)
-        assert set(support) == set(candidates)
-        for read_set in support.values():
-            # Worker-local block ids must never leak across the boundary.
-            assert not read_set.block_ids
-            if not read_set.is_global:
-                assert read_set.blocks or read_set.relations
-
     def test_snapshot_pickle_is_smaller_than_fact_graph(self):
         query = open_variant(path_query(3), "x1")
         db = synthetic_instance(query, seed=5, domain_size=6, witnesses=40)

@@ -1,5 +1,10 @@
 """Tests for the workload generators, paper instances, and experiment harness."""
 
+import os
+import pathlib
+import subprocess
+import sys
+
 import pytest
 
 from repro.certainty import certain_brute_force, is_certain, is_purified
@@ -52,6 +57,55 @@ class TestGenerators:
         query = fuxman_miller_cfree_example()
         db = uniform_random_instance(query, seed=0, facts_per_relation=6)
         assert len(db) <= 12 and len(db) >= 2
+
+    def test_seeded_generators_ignore_the_hash_seed(self):
+        """Seeded workloads must not follow set iteration (hash-salt) order."""
+        src = pathlib.Path(__file__).resolve().parents[1] / "src"
+        probe = (
+            "import random, sys\n"
+            f"sys.path.insert(0, {str(src)!r})\n"
+            "from repro.faults import FaultPlan\n"
+            "from repro.model.database import UncertainDatabase\n"
+            "from repro.model.repairs import random_repair\n"
+            "from repro.model.symbols import Variable\n"
+            "from repro.query import ConjunctiveQuery, figure2_q1\n"
+            "from repro.query.families import path_query\n"
+            "from repro.workloads import (apply_batch, bursty_mutation_stream,\n"
+            "    multi_tenant_workload, mutation_stream, planted_certain_instance,\n"
+            "    synthetic_instance, zipfian_instance)\n"
+            "path = path_query(3)\n"
+            "query = ConjunctiveQuery(path.atoms, [Variable('x1')])\n"
+            "out = []\n"
+            "for q in (query, figure2_q1()):\n"
+            "    db = synthetic_instance(q, seed=2, domain_size=6, witnesses=12)\n"
+            "    out.append(sorted(map(str, db.facts)))\n"
+            "    out.append(sorted(map(str, planted_certain_instance(q, seed=2).facts)))\n"
+            "    copy = UncertainDatabase(db.facts)  # blocks in frozenset order\n"
+            "    out.append(sorted(map(str, random_repair(copy, random.Random(4)))))\n"
+            "    for batch in mutation_stream(q, db, steps=6, seed=5, batch_range=(1, 3)):\n"
+            "        out.append([(kind, str(p)) for kind, p in batch])\n"
+            "        apply_batch(db, batch)\n"
+            "    db = zipfian_instance(q, seed=3)\n"
+            "    for batch in bursty_mutation_stream(q, db, steps=6, seed=5):\n"
+            "        out.append([(kind, str(p)) for kind, p in batch])\n"
+            "        apply_batch(db, batch)\n"
+            "workload = multi_tenant_workload(num_tenants=2, steps=8, seed=1)\n"
+            "out.append([(t.tenant_id, sorted(map(str, t.facts)), repr(t.steps))\n"
+            "            for t in workload.traces])\n"
+            "out.append(list(FaultPlan.random(3, events=6, n_shards=2)))\n"
+            "print(repr(out))\n"
+        )
+        outputs = set()
+        for hash_seed in ("0", "1", "2"):
+            result = subprocess.run(
+                [sys.executable, "-c", probe],
+                env={**os.environ, "PYTHONHASHSEED": hash_seed},
+                capture_output=True,
+                text=True,
+            )
+            assert result.returncode == 0, result.stderr
+            outputs.add(result.stdout)
+        assert len(outputs) == 1
 
     def test_scaling_instances_grow(self):
         query = fuxman_miller_cfree_example()
