@@ -4,7 +4,8 @@ The paper's claim is asymptotic (membership in P).  The observable
 consequence is that the Theorem 3 solver's runtime grows polynomially with
 the database size while the repair-enumeration oracle blows up with the
 number of conflicting blocks.  Each benchmark below pins one point of that
-comparison; the EXPERIMENTS.md table collects the trend.
+comparison; ``repro.experiments.figures.run_all_experiments`` collects the
+trend.
 """
 
 import pytest

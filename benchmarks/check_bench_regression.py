@@ -1,61 +1,20 @@
-"""Guard the emitted benchmark reports against performance regressions.
+"""Guard the emitted benchmark reports: identity flags and ratio floors.
 
-Compares a freshly emitted report against the committed baseline of the
-same suite and fails when a guarded metric regresses by more than
-``--factor`` (default 2×).  The guarded metrics are *ratios* (columnar
-speedup over the object path, delta shipping over re-bootstrap, snapshot
-shrink factor), not absolute wall-clock: ratios are stable across machines
-of different speed, so the guard works on shared CI boxes where raw
-timings are meaningless.
+This module owns what a report must satisfy.  :data:`SUITES` has one entry
+per suite (detected from the reports' ``benchmark`` field, which must match
+between baseline and current):
 
-Supported suites (detected from the reports' ``benchmark`` field, which
-must match between baseline and current):
+* the report keys that must be ``true`` — in-run correctness properties
+  (answer identity, isolation, zero loss), enforced on every machine;
+* the guarded ratios, located row by row in both reports, which fail when
+  the current value drops below ``baseline / --factor`` (default 2×).  They
+  are bigger-is-better *ratios*, not wall-clock: ratios divide out machine
+  speed, so the guard works on shared CI boxes where raw timings are
+  meaningless;
+* whether the ratio guards are skipped, with a recorded ``SKIPPED:`` line,
+  on machines with fewer than :data:`MIN_CPUS_FOR_PARALLEL_CHECK` CPUs.
 
-``columnar_store``
-    Guards ``speedup_vs_object`` and ``snapshot_shrink_factor`` per shared
-    planted-chain size.
-
-``all_bands``
-    Guards ``speedup_vs_object`` per band per shared size, and requires
-    the in-run backend identity checks to have passed.
-
-``sharded_runtime``
-    Guards ``speedup_delta_vs_rebuild`` per worker count (worst case over
-    the suite's sizes) — but only when the current machine has at least 4
-    CPUs: ratios measured on 1–2 core boxes are dominated by process
-    startup, not by the code under test.  The skip is recorded in the
-    guard's output.  The in-run identity check (``all_agree``) and
-    the O(delta) shipping invariant (``all_deltas_below_snapshot``: no
-    single delta flush may outweigh a pickled full snapshot) are enforced
-    unconditionally — they are correctness properties, not timings.
-
-``service_load``
-    Guards the concurrent-vs-sequential throughput ratio of the
-    multi-tenant service (same cpu-count skip).  The in-run identity check
-    (``all_answers_match``: every admitted answer equals a sequential
-    per-tenant replay) and the isolation check (``zero_intern_collisions``)
-    are enforced unconditionally.
-
-``fault_recovery``
-    The chaos identity checks are enforced unconditionally: every answer
-    produced under the injected fault schedule must equal the sequential
-    replay (``all_agree``), the fault plan must actually have fired
-    (``faults_exercised``), and the durable store must not have lost a
-    single acknowledged batch across the injected-fsync crash
-    (``zero_acknowledged_lost``).  The two bigger-is-better ratios —
-    ``throughput_retained_under_faults`` and ``recovery_responsiveness``
-    per size — are guarded only on runners with at least
-    :data:`MIN_CPUS_FOR_PARALLEL_CHECK` CPUs (recorded skip below that):
-    both are dominated by worker respawn cost, which a contended 1–2 core
-    box measures too noisily to guard on.
-
-``durability``
-    Guards ``speedup_restart_vs_rebuild`` per shared changelog-tail size —
-    cold restart from segment + changelog tail must keep beating a
-    full-history rebuild.  The suite is single-process, so the ratio is
-    checked on any CPU count.  The in-run recovery identity
-    (``all_agree``: recovered facts, ``mutation_version``, and certain
-    answers equal the pre-crash live state) is enforced unconditionally.
+``emit_bench.py`` reads the same table to decide its own exit status.
 
 Run with::
 
@@ -71,15 +30,192 @@ import argparse
 import json
 import pathlib
 import sys
-from typing import Dict, Sequence
+from dataclasses import dataclass
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 #: Below this CPU count, parallel-scaling ratios are skipped (recorded in
 #: the output): a 1–2 core box measures process startup, not scaling.
 MIN_CPUS_FOR_PARALLEL_CHECK = 4
 
+#: Maps a report to its guarded rows, keyed by the row id the label formats.
+RowLocator = Callable[[Dict], Dict[Tuple, Dict]]
 
-def _rows_by_size(report: Dict, key: str = "planted_chains") -> Dict[int, Dict]:
-    return {row[key]: row for row in report.get("results", ())}
+
+@dataclass(frozen=True)
+class Suite:
+    """What one suite's report must satisfy."""
+
+    #: Report key that must be true → error message when it is not.
+    identity: Dict[str, str]
+    #: Finds the guarded rows of a report (unused when nothing is guarded).
+    rows: Optional[RowLocator] = None
+    #: ``(ratio key in each row, row label)`` per guarded ratio; the label
+    #: is formatted with the row id's components.
+    ratios: Tuple[Tuple[str, str], ...] = ()
+    #: ``(what is skipped, what still passed)`` when the ratios are skipped
+    #: below :data:`MIN_CPUS_FOR_PARALLEL_CHECK`; ``None`` guards anywhere.
+    parallel_skip: Optional[Tuple[str, str]] = None
+
+
+def _rows_by(key: str) -> RowLocator:
+    """Rows of ``report["results"]``, keyed by their *key* column."""
+    return lambda report: {(row[key],): row for row in report.get("results", ())}
+
+
+def _rows_per_band(report: Dict) -> Dict[Tuple, Dict]:
+    """Rows of every band's results, keyed by ``(band, size)``."""
+    return {
+        (band["band"], row["size"]): row
+        for band in report.get("bands", ())
+        for row in band.get("results", ())
+    }
+
+
+def _worst_per_worker_count(report: Dict) -> Dict[Tuple, Dict]:
+    """Per worker count, the minimum delta-vs-rebuild speedup over sizes.
+
+    A missing or null speedup at any size makes the worst case null too.
+    """
+    speedups: Dict[int, List] = {}
+    for row in report.get("results", ()):
+        for worker_row in row.get("workers", ()):
+            speedups.setdefault(worker_row["workers"], []).append(
+                worker_row.get("speedup_delta_vs_rebuild")
+            )
+    return {
+        (workers,): {
+            "speedup_delta_vs_rebuild": (
+                None if None in values else min(values)
+            )
+        }
+        for workers, values in speedups.items()
+    }
+
+
+SUITES: Dict[str, Suite] = {
+    # Naive vs compiled evaluation of the Theorem 1 rewriting.  The naive
+    # side's cost is exponential in the size, so only identity is guarded.
+    "fo_rewriting": Suite(
+        identity={"all_agree": "naive and compiled evaluation disagree"},
+    ),
+    # Maintained view vs recompute-per-mutation: the maintained answers
+    # equal a cold recompute after every mutation, and the view re-decides
+    # exactly the support-dirty candidates (plus delta-discovered ones).
+    "incremental_views": Suite(
+        identity={
+            "all_agree": "the maintained view and a cold recompute disagree",
+            "support_dirties_only_dependents": "the view re-decided candidates "
+            "outside the support-dirty set",
+        },
+    ),
+    # Columnar vs object backend on batched certain answers: the speedup
+    # and the snapshot shrink factor per planted-chain size.
+    "columnar_store": Suite(
+        identity={"all_agree": "the columnar and object backends disagree"},
+        rows=_rows_by("planted_chains"),
+        ratios=(
+            ("speedup_vs_object", "chains={0:5d}"),
+            ("snapshot_shrink_factor", "chains={0:5d} shrink"),
+        ),
+    ),
+    # One workload per band of the trichotomy: the columnar speedup per
+    # (band, size) cell.
+    "all_bands": Suite(
+        identity={"all_agree": "the columnar and object backends disagree"},
+        rows=_rows_per_band,
+        ratios=(("speedup_vs_object", "band={0:18s} size={1:5d}"),),
+    ),
+    # Delta shipping vs a full pool re-bootstrap per step, worst case over
+    # the sizes per worker count.  No delta flush may outweigh a pickled
+    # full snapshot (delta shipping is O(delta)).  The ratio prices pool
+    # respawns, which a contended 1–2 core box times too noisily.
+    "sharded_runtime": Suite(
+        identity={
+            "all_agree": "sharded or rebuild answers disagree with the "
+            "sequential replay",
+            "all_deltas_below_snapshot": "a delta flush outweighed a full "
+            "snapshot (delta shipping is not O(delta))",
+        },
+        rows=_worst_per_worker_count,
+        ratios=(("speedup_delta_vs_rebuild", "workers={0}"),),
+        parallel_skip=(
+            "delta-vs-rebuild ratio checks",
+            "agreement and delta-below-snapshot checks",
+        ),
+    ),
+    # Concurrent tenants vs a sequential per-tenant replay: every admitted
+    # answer equals the replay and no two tenants share an interned
+    # constant.  Below 4 CPUs the concurrent run measures GIL churn and
+    # thread wakeups, not the serving layer.
+    "service_load": Suite(
+        identity={
+            "all_answers_match": "a service answer diverged from the "
+            "sequential replay",
+            "zero_intern_collisions": "two tenants share interned constants "
+            "(tenant isolation broken)",
+        },
+        rows=lambda report: {(): report},
+        ratios=(("throughput_ratio_vs_sequential", "service_load throughput"),),
+        parallel_skip=(
+            "service throughput ratio check",
+            "answer-identity and intern-isolation checks",
+        ),
+    ),
+    # Cold restart (segment + changelog tail) vs a full-history rebuild per
+    # tail; the recovered facts, mutation_version and certain answers equal
+    # the pre-crash state.  Both legs are single-process, so the ratio is
+    # guarded on any CPU count.
+    "durability": Suite(
+        identity={
+            "all_agree": "a recovered database diverged from the pre-crash state"
+        },
+        rows=_rows_by("tail"),
+        ratios=(("speedup_restart_vs_rebuild", "tail={0:6d}"),),
+    ),
+    # Clean vs chaos sharded replay plus a crash-recovery durability leg:
+    # every answer under faults equals the sequential replay, the fault
+    # plan fired, and no acknowledged batch was lost.  Both ratios price
+    # worker respawns, which a contended 1–2 core box times too noisily.
+    "fault_recovery": Suite(
+        identity={
+            "all_agree": "an answer under injected faults diverged from the "
+            "sequential replay",
+            "zero_acknowledged_lost": "the durable store lost an acknowledged "
+            "batch across the injected crash",
+            "faults_exercised": "the fault plan never fired (the chaos run "
+            "measured nothing)",
+        },
+        rows=_rows_by("size"),
+        ratios=(
+            ("throughput_retained_under_faults", "size={0:5d} retained      "),
+            ("recovery_responsiveness", "size={0:5d} responsiveness"),
+        ),
+        parallel_skip=(
+            "fault-recovery ratio checks",
+            "identity, fault-coverage, and zero-loss checks",
+        ),
+    ),
+}
+
+
+def _error(message: str) -> int:
+    print(f"ERROR: {message}", file=sys.stderr)
+    return 1
+
+
+def check_identity(report: Dict) -> int:
+    """Return 0 when every identity key of *report*'s suite is true, else 1."""
+    suite = report.get("benchmark")
+    if suite not in SUITES:
+        return _error(
+            f"no checks defined for suite {suite!r} "
+            f"(supported: {', '.join(sorted(SUITES))})"
+        )
+    status = 0
+    for key, message in SUITES[suite].identity.items():
+        if not report.get(key):
+            status = _error(f"{suite}: {message} ({key} is not true)")
+    return status
 
 
 def _check_ratio(label: str, baseline: float, current: float, factor: float) -> int:
@@ -92,280 +228,50 @@ def _check_ratio(label: str, baseline: float, current: float, factor: float) -> 
     return 0 if current >= floor else 1
 
 
-def check_columnar_store(baseline: Dict, current: Dict, factor: float) -> int:
-    """Guard the columnar_store speedup and snapshot shrink per size."""
-    if not current.get("all_agree", False):
-        print("ERROR: current report records a backend disagreement", file=sys.stderr)
-        return 1
-    baseline_rows = _rows_by_size(baseline)
-    current_rows = _rows_by_size(current)
-    shared = sorted(set(baseline_rows) & set(current_rows))
-    if not shared:
-        print("ERROR: the reports share no benchmark sizes", file=sys.stderr)
-        return 1
-    status = 0
-    for size in shared:
-        base, cur = baseline_rows[size], current_rows[size]
-        status |= _check_ratio(
-            f"chains={size:5d}",
-            base.get("speedup_vs_object") or 0.0,
-            cur.get("speedup_vs_object") or 0.0,
-            factor,
-        )
-        base_shrink = base.get("snapshot_shrink_factor") or 0.0
-        cur_shrink = cur.get("snapshot_shrink_factor") or 0.0
-        if cur_shrink < base_shrink / factor:
-            print(
-                f"chains={size:5d} snapshot shrink REGRESSED: "
-                f"baseline={base_shrink:.2f}x current={cur_shrink:.2f}x",
-                file=sys.stderr,
-            )
-            status = 1
-    return status
-
-
-def check_all_bands(baseline: Dict, current: Dict, factor: float) -> int:
-    """Guard the per-band columnar speedup ratios of the all_bands suite."""
-    if not current.get("all_agree", False):
-        print("ERROR: current report records a backend disagreement", file=sys.stderr)
-        return 1
-    baseline_bands = {band["band"]: band for band in baseline.get("bands", ())}
-    current_bands = {band["band"]: band for band in current.get("bands", ())}
-    shared_bands = [name for name in baseline_bands if name in current_bands]
-    if not shared_bands:
-        print("ERROR: the reports share no bands", file=sys.stderr)
-        return 1
-    status = 0
-    compared = 0
-    for name in shared_bands:
-        baseline_rows = _rows_by_size(baseline_bands[name], key="size")
-        current_rows = _rows_by_size(current_bands[name], key="size")
-        for size in sorted(set(baseline_rows) & set(current_rows)):
-            compared += 1
-            status |= _check_ratio(
-                f"band={name:18s} size={size:5d}",
-                baseline_rows[size].get("speedup_vs_object") or 0.0,
-                current_rows[size].get("speedup_vs_object") or 0.0,
-                factor,
-            )
-    if not compared:
-        print("ERROR: the reports share no (band, size) cells", file=sys.stderr)
-        return 1
-    return status
-
-
-def _worst_sharded_speedups(report: Dict) -> Dict[int, float]:
-    """Per worker count, the minimum delta-vs-rebuild speedup over sizes."""
-    worst: Dict[int, float] = {}
-    for row in report.get("results", ()):
-        for worker_row in row.get("workers", ()):
-            workers = worker_row["workers"]
-            speedup = worker_row.get("speedup_delta_vs_rebuild") or 0.0
-            worst[workers] = min(worst.get(workers, speedup), speedup)
-    return worst
-
-
-def check_sharded_runtime(baseline: Dict, current: Dict, factor: float) -> int:
-    """Guard delta-shipping vs snapshot-rebuild; skip ratios on small boxes."""
-    if not current.get("all_agree", False):
-        print(
-            "ERROR: current report records a sharded/sequential disagreement",
-            file=sys.stderr,
-        )
-        return 1
-    if not current.get("all_deltas_below_snapshot", False):
-        print(
-            "ERROR: a delta flush outweighed a full snapshot "
-            "(delta shipping is not O(delta))",
-            file=sys.stderr,
-        )
-        return 1
-    cpus = current.get("cpu_count") or 0
-    if cpus < MIN_CPUS_FOR_PARALLEL_CHECK:
-        # Recorded skip: the delta-vs-rebuild ratio is dominated by pool
-        # respawn cost, which a contended 1–2 core CI box measures too
-        # noisily to guard on.  Agreement and the O(delta) invariant were
-        # still enforced above.
-        print(
-            f"SKIPPED: delta-vs-rebuild ratio checks skipped "
-            f"(cpu_count={cpus} < {MIN_CPUS_FOR_PARALLEL_CHECK}); "
-            f"agreement and delta-below-snapshot checks passed"
-        )
-        return 0
-    baseline_worst = _worst_sharded_speedups(baseline)
-    current_worst = _worst_sharded_speedups(current)
-    shared = sorted(set(baseline_worst) & set(current_worst))
-    if not shared:
-        print("ERROR: the reports share no worker counts", file=sys.stderr)
-        return 1
-    status = 0
-    for workers in shared:
-        status |= _check_ratio(
-            f"workers={workers}",
-            baseline_worst[workers],
-            current_worst[workers],
-            factor,
-        )
-    return status
-
-
-def check_service_load(baseline: Dict, current: Dict, factor: float) -> int:
-    """Guard the multi-tenant service suite; skip the ratio on small boxes.
-
-    The identity assertion (every concurrent answer equals the sequential
-    per-tenant replay) and the isolation assertion (zero cross-tenant
-    intern-id collisions) are enforced unconditionally.  The concurrent-vs
-    -sequential throughput ratio is only guarded on runners with at least
-    :data:`MIN_CPUS_FOR_PARALLEL_CHECK` CPUs — below that, the concurrent
-    run measures GIL churn and thread wakeups, not the serving layer.
-    """
-    if not current.get("all_answers_match", False):
-        print(
-            "ERROR: current report records a service answer diverging "
-            "from the sequential replay",
-            file=sys.stderr,
-        )
-        return 1
-    if not current.get("zero_intern_collisions", False):
-        print(
-            "ERROR: current report records a cross-tenant intern-id "
-            "collision (tenant isolation broken)",
-            file=sys.stderr,
-        )
-        return 1
-    cpus = current.get("cpu_count") or 0
-    if cpus < MIN_CPUS_FOR_PARALLEL_CHECK:
-        # Recorded skip: identity and isolation were still enforced above.
-        print(
-            f"SKIPPED: service throughput ratio check skipped "
-            f"(cpu_count={cpus} < {MIN_CPUS_FOR_PARALLEL_CHECK}); "
-            f"answer-identity and intern-isolation checks passed"
-        )
-        return 0
-    return _check_ratio(
-        "service_load throughput",
-        baseline.get("throughput_ratio_vs_sequential") or 0.0,
-        current.get("throughput_ratio_vs_sequential") or 0.0,
-        factor,
-    )
-
-
-def check_durability(baseline: Dict, current: Dict, factor: float) -> int:
-    """Guard restart-vs-rebuild per tail; recovery identity unconditional.
-
-    No cpu-count skip: both legs are single-process and the ratio divides
-    out machine speed, so it is meaningful even on a 1-core runner.
-    """
-    if not current.get("all_agree", False):
-        print(
-            "ERROR: current report records a recovered database diverging "
-            "from the pre-crash state",
-            file=sys.stderr,
-        )
-        return 1
-    baseline_rows = _rows_by_size(baseline, key="tail")
-    current_rows = _rows_by_size(current, key="tail")
-    shared = sorted(set(baseline_rows) & set(current_rows))
-    if not shared:
-        print("ERROR: the reports share no changelog-tail sizes", file=sys.stderr)
-        return 1
-    status = 0
-    for tail in shared:
-        status |= _check_ratio(
-            f"tail={tail:6d}",
-            baseline_rows[tail].get("speedup_restart_vs_rebuild") or 0.0,
-            current_rows[tail].get("speedup_restart_vs_rebuild") or 0.0,
-            factor,
-        )
-    return status
-
-
-def check_fault_recovery(baseline: Dict, current: Dict, factor: float) -> int:
-    """Chaos identity unconditional; recovery ratios guarded on big boxes."""
-    if not current.get("all_agree", False):
-        print(
-            "ERROR: current report records an answer under injected faults "
-            "diverging from the sequential replay",
-            file=sys.stderr,
-        )
-        return 1
-    if not current.get("zero_acknowledged_lost", False):
-        print(
-            "ERROR: current report records an acknowledged batch lost "
-            "across the injected crash",
-            file=sys.stderr,
-        )
-        return 1
-    if not current.get("faults_exercised", False):
-        print(
-            "ERROR: current report records the fault plan never firing "
-            "(the chaos run measured nothing)",
-            file=sys.stderr,
-        )
-        return 1
-    cpus = current.get("cpu_count") or 0
-    if cpus < MIN_CPUS_FOR_PARALLEL_CHECK:
-        # Recorded skip: identity, fault-coverage, and durability checks
-        # were still enforced above.  The guarded ratios price worker
-        # respawns, which small contended boxes time too noisily.
-        print(
-            f"SKIPPED: fault-recovery ratio checks skipped "
-            f"(cpu_count={cpus} < {MIN_CPUS_FOR_PARALLEL_CHECK}); "
-            f"identity, fault-coverage, and zero-loss checks passed"
-        )
-        return 0
-    baseline_rows = _rows_by_size(baseline, key="size")
-    current_rows = _rows_by_size(current, key="size")
-    shared = sorted(set(baseline_rows) & set(current_rows))
-    if not shared:
-        print("ERROR: the reports share no benchmark sizes", file=sys.stderr)
-        return 1
-    status = 0
-    for size in shared:
-        base, cur = baseline_rows[size], current_rows[size]
-        status |= _check_ratio(
-            f"size={size:5d} retained      ",
-            base.get("throughput_retained_under_faults") or 0.0,
-            cur.get("throughput_retained_under_faults") or 0.0,
-            factor,
-        )
-        status |= _check_ratio(
-            f"size={size:5d} responsiveness",
-            base.get("recovery_responsiveness") or 0.0,
-            cur.get("recovery_responsiveness") or 0.0,
-            factor,
-        )
-    return status
-
-
-_CHECKERS = {
-    "columnar_store": check_columnar_store,
-    "all_bands": check_all_bands,
-    "sharded_runtime": check_sharded_runtime,
-    "service_load": check_service_load,
-    "durability": check_durability,
-    "fault_recovery": check_fault_recovery,
-}
-
-
 def check_regression(baseline: Dict, current: Dict, factor: float) -> int:
     """Return 0 when *current* holds up against *baseline*, 1 otherwise."""
-    suite = current.get("benchmark")
-    if suite != baseline.get("benchmark"):
-        print(
-            "ERROR: baseline and current reports come from different suites",
-            file=sys.stderr,
-        )
+    name = current.get("benchmark")
+    if name != baseline.get("benchmark"):
+        return _error("baseline and current reports come from different suites")
+    if check_identity(current):
         return 1
-    checker = _CHECKERS.get(suite)
-    if checker is None:
+    suite = SUITES[name]
+    if not suite.ratios:
+        print(f"{name}: identity checks passed; no guarded ratios")
+        return 0
+    cpus = current.get("cpu_count") or 0
+    if suite.parallel_skip and cpus < MIN_CPUS_FOR_PARALLEL_CHECK:
+        skipped, passed = suite.parallel_skip
         print(
-            f"ERROR: no regression checks defined for suite {suite!r} "
-            f"(supported: {', '.join(sorted(_CHECKERS))})",
-            file=sys.stderr,
+            f"SKIPPED: {skipped} skipped "
+            f"(cpu_count={cpus} < {MIN_CPUS_FOR_PARALLEL_CHECK}); "
+            f"{passed} passed"
         )
-        return 1
-    return checker(baseline, current, factor)
+        return 0
+    baseline_rows = suite.rows(baseline)
+    current_rows = suite.rows(current)
+    shared = [row_id for row_id in baseline_rows if row_id in current_rows]
+    if not shared:
+        return _error(f"{name}: the reports share no guarded rows")
+    status = 0
+    for row_id in shared:
+        for key, template in suite.ratios:
+            label = template.format(*row_id)
+            base = baseline_rows[row_id].get(key)
+            cur = current_rows[row_id].get(key)
+            missing = [
+                side
+                for side, value in (("baseline", base), ("current", cur))
+                if value is None
+            ]
+            if missing:
+                status = _error(
+                    f"{name}: {label.strip()}: guarded ratio {key!r} is missing "
+                    f"or null in the {' and '.join(missing)} report"
+                )
+            else:
+                status |= _check_ratio(label, base, cur, factor)
+    return status
 
 
 def main(argv: Sequence[str] = ()) -> int:

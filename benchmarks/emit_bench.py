@@ -1,112 +1,12 @@
 """Emit benchmark JSON reports recording the engine's performance trajectory.
 
-Eight suites:
-
-``fo_rewriting`` (default) → ``BENCH_fo_rewriting.json``
-    Times the certain first-order rewriting of Theorem 1 under the two
-    evaluation strategies of :class:`repro.fo.evaluate.FormulaEvaluator` —
-    the naive active-domain recursion and the compiled set-at-a-time plans
-    of :mod:`repro.fo.compile` — on a scaling workload and checks that they
-    agree.  The workload (:func:`fo_bench_instance`) is adversarial for the
-    naive strategy: the early relations of a path query are dense while the
-    final relation is sparse, so the instance is rarely certain and the
-    naive evaluator must exhaust the ``|adom|^k`` quantifier space before
-    concluding — exactly the exponential behaviour the compiled plans
-    eliminate.
-
-``incremental_views`` → ``BENCH_incremental_views.json``
-    Times a :class:`repro.incremental.ViewManager`-maintained certain-answer
-    view against recompute-per-mutation over a stream of single-block
-    mutations, at several database scales.  After every mutation the
-    maintained answers are differentially checked against a cold
-    ``certain_answers``, and the support index is used to assert that the
-    view re-decided *exactly* the candidates whose decisions read the
-    mutated block (plus delta-discovered new candidates) — the block-local
-    maintenance the paper's FO rewritings make possible.
-
-``columnar_store`` → ``BENCH_columnar_store.json``
-    Times batched ``certain_answers`` on the interned columnar backend
-    (integer-row kernels, compiled candidate enumeration, set-at-a-time
-    batched deciding) against the object-level reference backend on the
-    same scaling workload, asserting in-run that the two backends return
-    identical answer sets at every size.  Also records the pickled size of
-    the columnar snapshot versus the fact object graph, the store's
-    per-component memory footprint, and the process-wide intern-table
-    statistics.  ``benchmarks/check_bench_regression.py`` guards CI against
-    the recorded speedups regressing more than 2× versus the committed
-    baseline.
-
-``sharded_runtime`` → ``BENCH_sharded_runtime.json``
-    Times the delta-shipped shard runtime
-    (:class:`repro.engine.ShardedCertaintySession`: long-lived block-hash
-    -sharded workers receiving O(delta) mutation payloads) against a full
-    re-bootstrap baseline (a fresh ``ShardedCertaintySession`` per step,
-    which respawns the pool and re-ships every partition) at 1/2/4 workers
-    on a mixed read/write stream — bursty, Zipf-skewed mutation batches
-    interleaved with ``certain_answers`` reads.  The identical
-    pre-recorded stream replays under every strategy; after every step the
-    answers are checked against a sequential replay, and the run asserts
-    that the largest single delta flush stays below one pickled snapshot
-    (bytes shipped scale with the delta, not the database).  The headline
-    ratio compares the two strategies at the *same* worker count, so it
-    measures serialization and pool-respawn cost, not parallelism, and is
-    meaningful on any core count (``cpu_count`` is recorded alongside).
-    ``speedup_vs_sequential`` divides the warm single-process
-    :class:`repro.engine.CertaintySession` replay time by the sharded
-    time.
-
-``all_bands`` → ``BENCH_all_bands.json``
-    Times the columnar id kernels against the object reference path on one
-    workload per complexity band of the trichotomy: the FO band (compiled
-    rewriting on an open path query), the PTIME-not-FO band (Theorem 3
-    terminal-cycle recursion on the Figure 4 query), the PTIME cycle-query
-    band (Theorem 4 on ``C(3)`` ring instances), and the coNP band (the
-    pruned brute-force repair search on Figure 2's ``q1`` over gadget
-    instances whose conflicts live only in ``T``, keeping the search tree
-    linear on both backends).  Every size asserts in-run that the two
-    backends return identical verdicts/answer sets before any timing is
-    recorded.
-
-``service_load`` → ``BENCH_service_load.json``
-    Drives N concurrent tenants (deterministic mixed read/write traces,
-    Zipf-skewed keys, tenant-prefixed constants) through the multi-tenant
-    :class:`repro.service.CertaintyService` and compares against a
-    sequential per-tenant replay on throwaway engine sessions.  Band-aware
-    admission routes FO-band reads inline (p50/p95 latency reported
-    separately) and queues PTIME-band reads onto the bounded worker pool
-    (completion p50/p95).  Every answer is asserted identical in-run to the
-    sequential replay, and the tenants' private intern tables are asserted
-    pairwise disjoint — zero cross-tenant id collisions.
-
-``durability`` → ``BENCH_durability.json``
-    Times cold restart from the durability tier
-    (:class:`repro.durability.DurableStore`: checksummed segment snapshot
-    + framed write-ahead changelog) against rebuilding the database by
-    replaying the full mutation history from its initial facts.  One
-    mutation stream runs per *tail* size; the checkpoint lands ``tail``
-    mutations before the end, so restart decodes the segment and replays
-    exactly ``tail`` changelog records (``tail=0`` is the snapshot-only
-    restart, the largest tail replays the whole log).  Both legs are timed
-    to the same finish line — a served ``certain_answers`` — and every
-    restart asserts in-run that the recovered facts, ``mutation_version``,
-    and certain answers equal the pre-crash live state.  Single-process,
-    so the guarded restart-vs-rebuild ratio holds on any CI box.
-
-``fault_recovery`` → ``BENCH_fault_recovery.json``
-    Replays the sharded-runtime mutation stream twice — fault-free, then
-    under a deterministic :class:`repro.faults.FaultPlan` that kills shard
-    workers mid-stream and drops a dispatch pipe — and records how much of
-    the clean throughput the supervised runtime retains while every
-    per-step answer set stays identical to a sequential replay
-    (``throughput_retained_under_faults``; no answer may differ, degrade,
-    or be dropped while workers die).  Post-kill dispatches (the ones that
-    re-spawn and re-bootstrap a worker) are timed separately:
-    ``recovery_p50_seconds`` / ``recovery_max_seconds``, with
-    ``recovery_responsiveness`` comparing them against the fault-free
-    per-step p50.  A durability leg drives the same stream through a
-    ``sync="commit"`` :class:`repro.durability.DurableStore` under injected
-    fsync failures and a torn changelog write, crashes, recovers, and
-    asserts zero acknowledged-but-lost batches.
+:data:`RUNNERS` lists the suites: each runs one ``run_*`` function (whose
+docstring describes the workload and the two strategies it compares) at
+its full or ``--smoke`` sizes and writes ``BENCH_<suite>.json`` by
+default.  The exit status is the report's identity verdict from
+``check_bench_regression.SUITES``, the one table of what every report
+must satisfy; that script also guards the recorded ratios against the
+committed baselines.
 
 Run with::
 
@@ -119,6 +19,7 @@ Run with::
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import pathlib
@@ -129,7 +30,8 @@ import sys
 import tempfile
 import threading
 import time
-from typing import Dict, List, Optional, Sequence
+from dataclasses import dataclass
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
@@ -155,10 +57,7 @@ from repro.workloads import (
 )
 from repro.workloads.instances import ring_instance
 
-#: Default scaling sizes (active-domain size n; facts grow linearly in n).
-FULL_SIZES = (8, 16, 32, 64, 96)
-SMOKE_SIZES = (8, 16)
-
+from check_bench_regression import check_identity
 
 def bench_query() -> ConjunctiveQuery:
     """The benchmark query: ``path_query(3)``, an FO-band three-atom chain."""
@@ -287,17 +186,9 @@ def chain_bench_instance(
     return db
 
 
-#: Planted same-key pairs for the sharded_runtime suite (candidate volume).
-SHARDED_FULL_SIZES = (64, 256)
-SHARDED_SMOKE_SIZES = (16, 48)
-
 #: Shard/worker counts; both strategies run at the *same* count, so the
 #: headline ratio isolates re-bootstrap-vs-delta cost rather than parallelism.
 SHARDED_WORKER_COUNTS = (1, 2, 4)
-
-#: Mutation batches interleaved with reads in the replayed stream.
-SHARDED_FULL_STEPS = 12
-SHARDED_SMOKE_STEPS = 5
 
 
 def sharded_bench_query() -> ConjunctiveQuery:
@@ -396,6 +287,56 @@ def _replay_rebootstrap(db0, batches, query, workers: int):
     return seconds, per_step, len(per_step), bootstrap_bytes
 
 
+def _replay_sharded(
+    db0, batches, query, shards: int, plan: Optional[FaultPlan] = None, **options
+) -> Dict:
+    """Replay the recorded stream on one long-lived sharded session.
+
+    With *plan* the replay runs under fault injection; *options* go to
+    :class:`ShardedCertaintySession`.  Returns the total seconds, the
+    per-step answers, the per-step seconds split into recovery dispatches
+    (a worker restart happened inside the step) and ordinary ones, the
+    session's stats, and the pickled size of one full snapshot of the
+    *final* store: the payload a rebuild strategy would ship per worker
+    after the last mutation, which every delta flush must undercut.
+    """
+    db = db0.copy()
+    session = ShardedCertaintySession(
+        db, n_shards=shards, min_shard_candidates=1, **options
+    )
+    try:
+        with inject(plan) if plan is not None else contextlib.nullcontext():
+            per_step: List = []
+            recovery: List[float] = []
+            ordinary: List[float] = []
+            start = time.perf_counter()
+            for step in range(len(batches) + 1):
+                if step:
+                    apply_batch(db, batches[step - 1])
+                restarts_before = session.stats.worker_restarts
+                step_start = time.perf_counter()
+                per_step.append(session.certain_answers(query))
+                elapsed = time.perf_counter() - step_start
+                if session.stats.worker_restarts > restarts_before:
+                    recovery.append(elapsed)
+                else:
+                    ordinary.append(elapsed)
+            seconds = time.perf_counter() - start
+        snapshot_bytes = len(
+            pickle.dumps(session.store.snapshot(), pickle.HIGHEST_PROTOCOL)
+        )
+    finally:
+        session.close()
+    return {
+        "seconds": seconds,
+        "per_step": per_step,
+        "recovery_seconds": recovery,
+        "ordinary_seconds": ordinary,
+        "stats": session.stats,
+        "snapshot_bytes": snapshot_bytes,
+    }
+
+
 def run_sharded_benchmark(
     sizes: Sequence[int], steps: int, repeats: int = 3, seed: int = 29
 ) -> Dict:
@@ -435,37 +376,17 @@ def run_sharded_benchmark(
                 rebuild_agree = rebuild_agree and per_step == expected
                 rebuild_seconds = min(rebuild_seconds, seconds)
 
-            sharded_seconds = float("inf")
-            sharded_session = None
+            sharded = {"seconds": float("inf")}
             sharded_agree = True
-            snapshot_pickle_bytes = 0
             for _ in range(repeats):
-                db = db0.copy()
-                session = ShardedCertaintySession(
-                    db, n_shards=workers, min_shard_candidates=1
-                )
-                try:
-                    start = time.perf_counter()
-                    per_step = [session.certain_answers(query)]
-                    for batch in batches:
-                        apply_batch(db, batch)
-                        per_step.append(session.certain_answers(query))
-                    seconds = time.perf_counter() - start
-                    # Size of one full snapshot of the *final* store: the
-                    # payload a rebuild strategy would ship per worker after
-                    # the last mutation.  Every delta flush must undercut it.
-                    snapshot_pickle_bytes = len(
-                        pickle.dumps(
-                            session.store.snapshot(), pickle.HIGHEST_PROTOCOL
-                        )
-                    )
-                finally:
-                    session.close()
-                sharded_agree = sharded_agree and per_step == expected
-                if seconds < sharded_seconds:
-                    sharded_seconds, sharded_session = seconds, session
+                replay = _replay_sharded(db0, batches, query, workers)
+                sharded_agree = sharded_agree and replay["per_step"] == expected
+                if replay["seconds"] < sharded["seconds"]:
+                    sharded = replay
 
-            stats = sharded_session.stats
+            sharded_seconds = sharded["seconds"]
+            snapshot_pickle_bytes = sharded["snapshot_bytes"]
+            stats = sharded["stats"]
             delta_below_snapshot = (
                 stats.max_flush_bytes < snapshot_pickle_bytes
             )
@@ -525,15 +446,6 @@ def run_sharded_benchmark(
         "all_agree": all_agree,
         "all_deltas_below_snapshot": all_deltas_below_snapshot,
     }
-
-
-#: Planted-chain counts for the incremental_views suite.
-INCREMENTAL_FULL_SIZES = (64, 256, 1024)
-INCREMENTAL_SMOKE_SIZES = (16, 48)
-
-#: Single-block mutations applied (and differentially checked) per size.
-INCREMENTAL_FULL_MUTATIONS = 12
-INCREMENTAL_SMOKE_MUTATIONS = 6
 
 
 def _incremental_mutations(query, chains: int, count: int, seed: int):
@@ -633,13 +545,6 @@ def run_incremental_benchmark(
     }
 
 
-#: Planted-chain counts for the columnar_store suite.  The small sizes are
-#: shared with the smoke run so the committed baseline always covers the
-#: sizes the CI regression guard compares against.
-COLUMNAR_FULL_SIZES = (16, 48, 64, 256, 1024)
-COLUMNAR_SMOKE_SIZES = (16, 48)
-
-
 def run_columnar_benchmark(
     sizes: Sequence[int], repeats: int = 3, seed: int = 13
 ) -> Dict:
@@ -706,14 +611,6 @@ def run_columnar_benchmark(
         ),
         "intern_table": global_intern_table().memory_stats(),
     }
-
-
-#: Scale parameter per band for the all_bands suite (chains / planted
-#: witnesses / ring copies / conflict gadgets, depending on the band).  The
-#: smoke sizes are a prefix of the full sizes so the committed baseline
-#: always covers the sizes the CI regression guard compares against.
-ALL_BANDS_FULL_SIZES = (8, 16, 64, 256)
-ALL_BANDS_SMOKE_SIZES = (8, 16)
 
 
 def figure4_band_instance(size: int, seed: int = 31) -> UncertainDatabase:
@@ -914,163 +811,7 @@ def run_all_bands_benchmark(
     }
 
 
-def _emit_all_bands(args: argparse.Namespace, output: pathlib.Path) -> int:
-    if args.sizes:
-        sizes: Sequence[int] = args.sizes
-    else:
-        sizes = ALL_BANDS_SMOKE_SIZES if args.smoke else ALL_BANDS_FULL_SIZES
-    # Always best-of-3: the CI regression guard compares speedup ratios
-    # against the committed baseline, and single samples are too noisy.
-    report = run_all_bands_benchmark(sizes, repeats=3)
-    output.write_text(json.dumps(report, indent=2) + "\n")
-    for band in report["bands"]:
-        print(f"[{band['band']}] {band['method']}")
-        for row in band["results"]:
-            verdict = row.get("certain", row.get("certain_answers"))
-            print(
-                f"  size={row['size']:5d} facts={row['facts']:6d} "
-                f"result={verdict!s:5s} object={row['object_seconds']:.4f}s "
-                f"columnar={row['columnar_seconds']:.4f}s "
-                f"speedup={row['speedup_vs_object']:.1f}x"
-            )
-    print(f"wrote {output}")
-    if not report["all_agree"]:
-        print("ERROR: columnar and object backends disagree", file=sys.stderr)
-        return 1
-    return 0
-
-
-def _emit_columnar_store(args: argparse.Namespace, output: pathlib.Path) -> int:
-    if args.sizes:
-        sizes: Sequence[int] = args.sizes
-    else:
-        sizes = COLUMNAR_SMOKE_SIZES if args.smoke else COLUMNAR_FULL_SIZES
-    # Always best-of-3: the CI regression guard compares this run's speedup
-    # ratios against the committed baseline, and a single millisecond-scale
-    # sample on a shared runner is too noisy to guard on (the smoke sizes
-    # cost well under a second even with repeats).
-    report = run_columnar_benchmark(sizes, repeats=3)
-    output.write_text(json.dumps(report, indent=2) + "\n")
-    for row in report["results"]:
-        print(
-            f"chains={row['planted_chains']:5d} facts={row['facts']:6d} "
-            f"candidates={row['candidate_answers']:5d} "
-            f"object={row['object_seconds']:.4f}s "
-            f"columnar={row['columnar_seconds']:.4f}s "
-            f"speedup={row['speedup_vs_object']:.1f}x "
-            f"snapshot={row['snapshot_pickle_bytes']}B "
-            f"({row['snapshot_shrink_factor']:.1f}x smaller)"
-        )
-    intern = report["intern_table"]
-    print(
-        f"intern table: {intern['constants']} constants, "
-        f"{intern['total_bytes']} bytes"
-    )
-    print(f"wrote {output}")
-    if not report["all_agree"]:
-        print("ERROR: columnar and object backends disagree", file=sys.stderr)
-        return 1
-    return 0
-
-
-def _emit_incremental_views(args: argparse.Namespace, output: pathlib.Path) -> int:
-    if args.sizes:
-        sizes: Sequence[int] = args.sizes
-    else:
-        sizes = INCREMENTAL_SMOKE_SIZES if args.smoke else INCREMENTAL_FULL_SIZES
-    mutations = INCREMENTAL_SMOKE_MUTATIONS if args.smoke else INCREMENTAL_FULL_MUTATIONS
-    report = run_incremental_benchmark(sizes, mutations)
-    output.write_text(json.dumps(report, indent=2) + "\n")
-    for row in report["results"]:
-        print(
-            f"chains={row['planted_chains']:5d} facts={row['facts']:6d} "
-            f"candidates={row['candidate_answers']:5d} "
-            f"maintain={row['maintain_seconds']:.4f}s "
-            f"recompute={row['recompute_seconds']:.4f}s "
-            f"speedup={row['speedup_vs_recompute']:.1f}x "
-            f"avg_dirty={row['avg_dirty']:.1f}"
-        )
-    print(f"wrote {output}")
-    if not report["all_agree"]:
-        print("ERROR: maintained view and cold recompute disagree", file=sys.stderr)
-        return 1
-    if not report["support_dirties_only_dependents"]:
-        print(
-            "ERROR: the view re-decided candidates outside the support-dirty set",
-            file=sys.stderr,
-        )
-        return 1
-    return 0
-
-
-def _emit_fo_rewriting(args: argparse.Namespace, output: pathlib.Path) -> int:
-    if args.sizes:
-        sizes: Sequence[int] = args.sizes
-    else:
-        sizes = SMOKE_SIZES if args.smoke else FULL_SIZES
-    report = run_benchmark(sizes, repeats=1 if args.smoke else 3)
-    output.write_text(json.dumps(report, indent=2) + "\n")
-    for row in report["results"]:
-        print(
-            f"size={row['size']:4d} facts={row['facts']:5d} certain={row['certain']!s:5s} "
-            f"naive={row['naive_seconds']:.4f}s compiled={row['compiled_seconds']:.4f}s "
-            f"speedup={row['speedup']:.1f}x"
-        )
-    print(f"wrote {output}")
-    if not report["all_agree"]:
-        print("ERROR: naive and compiled evaluation disagree", file=sys.stderr)
-        return 1
-    return 0
-
-
-def _emit_sharded_runtime(args: argparse.Namespace, output: pathlib.Path) -> int:
-    if args.sizes:
-        sizes: Sequence[int] = args.sizes
-    else:
-        sizes = SHARDED_SMOKE_SIZES if args.smoke else SHARDED_FULL_SIZES
-    steps = SHARDED_SMOKE_STEPS if args.smoke else SHARDED_FULL_STEPS
-    report = run_sharded_benchmark(sizes, steps, repeats=1 if args.smoke else 3)
-    output.write_text(json.dumps(report, indent=2) + "\n")
-    for row in report["results"]:
-        print(
-            f"size={row['size']:4d} facts={row['facts']:5d} steps={row['steps']} "
-            f"mutations={row['mutated_facts']:3d} "
-            f"sequential={row['sequential_seconds']:.4f}s "
-            f"({report['cpu_count']} cpus)"
-        )
-        for worker_row in row["workers"]:
-            print(
-                f"  workers={worker_row['workers']} "
-                f"rebuild={worker_row['rebuild_seconds']:.4f}s "
-                f"sharded={worker_row['sharded_seconds']:.4f}s "
-                f"speedup={worker_row['speedup_delta_vs_rebuild']:.2f}x "
-                f"vs_sequential={worker_row['speedup_vs_sequential']:.2f}x "
-                f"snapshot_shipped={worker_row['snapshot_bytes_shipped']}B "
-                f"delta_shipped={worker_row['delta_bytes_shipped']}B "
-                f"max_flush={worker_row['max_flush_bytes']}B "
-                f"agree={worker_row['agree']}"
-            )
-    print(f"wrote {output}")
-    if not report["all_agree"]:
-        print(
-            "ERROR: sharded/rebuild answers disagree with sequential replay",
-            file=sys.stderr,
-        )
-        return 1
-    if not report["all_deltas_below_snapshot"]:
-        print(
-            "ERROR: a delta flush outweighed a full snapshot "
-            "(delta shipping is not O(delta))",
-            file=sys.stderr,
-        )
-        return 1
-    return 0
-
-
-#: service_load suite: concurrent tenants and per-tenant trace lengths.
-SERVICE_TENANTS = 8
-SERVICE_FULL_STEPS = 48
-SERVICE_SMOKE_STEPS = 12
+#: service_load suite: worker pool size and per-tenant queue-depth cap.
 SERVICE_MAX_WORKERS = 4
 SERVICE_QUEUE_DEPTH = 16
 
@@ -1261,58 +1002,7 @@ def run_service_load_benchmark(
     }
 
 
-def _emit_service_load(args: argparse.Namespace, output: pathlib.Path) -> int:
-    tenants = args.sizes[0] if args.sizes else SERVICE_TENANTS
-    steps = SERVICE_SMOKE_STEPS if args.smoke else SERVICE_FULL_STEPS
-    report = run_service_load_benchmark(
-        tenants, steps, repeats=1 if args.smoke else 3
-    )
-    output.write_text(json.dumps(report, indent=2) + "\n")
-    print(
-        f"tenants={report['tenants']} steps={report['steps_per_tenant']} "
-        f"workers={report['max_workers']} ({report['cpu_count']} cpus)"
-    )
-    print(
-        f"  fo: {report['fo_requests']} requests "
-        f"p50={report['fo_p50_seconds']:.6f}s p95={report['fo_p95_seconds']:.6f}s"
-    )
-    print(
-        f"  queued: {report['queued_requests']} requests "
-        f"p50={report['queued_p50_seconds']:.6f}s "
-        f"p95={report['queued_p95_seconds']:.6f}s"
-    )
-    print(
-        f"  sequential={report['sequential_seconds']:.4f}s "
-        f"concurrent={report['concurrent_seconds']:.4f}s "
-        f"ratio={report['throughput_ratio_vs_sequential']:.2f}x "
-        f"match={report['all_answers_match']} "
-        f"isolated={report['zero_intern_collisions']}"
-    )
-    print(f"wrote {output}")
-    if not report["all_answers_match"]:
-        print(
-            "ERROR: a service answer diverged from the sequential replay",
-            file=sys.stderr,
-        )
-        return 1
-    if not report["zero_intern_collisions"]:
-        print(
-            "ERROR: two tenants share interned constants "
-            "(intern-table isolation broken)",
-            file=sys.stderr,
-        )
-        return 1
-    return 0
-
-
-#: durability suite: changelog tails replayed on restart.  Each tail row
-#: runs a stream of ``DURABILITY_PRE_MUTATIONS + tail`` single-op batches,
-#: checkpointing ``tail`` mutations before the end — so a (chains, tail)
-#: cell is the *same workload* in smoke and full runs, and the smoke tails
-#: are a prefix of the full tails (the committed baseline always covers
-#: the cells the CI regression guard compares against).
-DURABILITY_FULL_TAILS = (0, 1_000, 10_000)
-DURABILITY_SMOKE_TAILS = (0, 1_000)
+#: durability suite: mutations before the checkpoint and planted chains.
 DURABILITY_PRE_MUTATIONS = 2_000
 DURABILITY_CHAINS = 48
 
@@ -1424,45 +1114,6 @@ def run_durability_benchmark(
     }
 
 
-def _emit_durability(args: argparse.Namespace, output: pathlib.Path) -> int:
-    if args.sizes:
-        tails: Sequence[int] = args.sizes
-    else:
-        tails = DURABILITY_SMOKE_TAILS if args.smoke else DURABILITY_FULL_TAILS
-    # Always best-of-3: the CI regression guard compares the restart-vs
-    # -rebuild ratio against the committed baseline, and single samples of
-    # millisecond-scale restarts are too noisy to guard on.
-    report = run_durability_benchmark(tails, repeats=3)
-    output.write_text(json.dumps(report, indent=2) + "\n")
-    for row in report["results"]:
-        print(
-            f"tail={row['tail']:6d} facts={row['facts']:6d} "
-            f"replayed={row['replayed_records']:6d} "
-            f"segment={row['segment_bytes']}B wal={row['wal_bytes']}B "
-            f"restart={row['restart_seconds']:.4f}s "
-            f"rebuild={row['rebuild_seconds']:.4f}s "
-            f"speedup={row['speedup_restart_vs_rebuild']:.1f}x "
-            f"agree={row['agree']}"
-        )
-    print(f"wrote {output}")
-    if not report["all_agree"]:
-        print(
-            "ERROR: a recovered database diverged from the pre-crash state",
-            file=sys.stderr,
-        )
-        return 1
-    return 0
-
-
-#: Planted same-key pairs per replayed stream (reuses the sharded-runtime
-#: workload so the chaos numbers are comparable to the clean suite's).
-FAULT_RECOVERY_FULL_SIZES = (48, 96)
-FAULT_RECOVERY_SMOKE_SIZES = (16,)
-
-#: Mutation batches interleaved with reads in the replayed stream.
-FAULT_RECOVERY_FULL_STEPS = 10
-FAULT_RECOVERY_SMOKE_STEPS = 5
-
 #: Shard workers under chaos.  Two is enough to exercise routing around a
 #: dead shard while keeping the spawn cost CI-friendly.
 FAULT_RECOVERY_SHARDS = 2
@@ -1490,44 +1141,21 @@ def _fault_recovery_shard_leg(
     """Replay the recorded stream on a supervised sharded session.
 
     With *plan* the replay runs under injection; either way the per-step
-    answers are returned for the caller's identity check, along with
-    per-step latencies split into recovery dispatches (a worker restart
-    happened inside the step) and ordinary ones.  Best-of-*repeats* on
+    answers are returned for the caller's identity check, along with the
+    p50 of ordinary and of recovery dispatches.  Best-of-*repeats* on
     total seconds; the step split comes from the fastest run.
     """
     best: Dict = {"seconds": float("inf")}
     for _ in range(repeats):
-        db = db0.copy()
-        session = ShardedCertaintySession(
-            db, n_shards=shards, min_shard_candidates=1, restart_backoff=0.0
+        replay = _replay_sharded(
+            db0, batches, query, shards, plan=plan, restart_backoff=0.0
         )
-        try:
-            with inject(plan if plan is not None else FaultPlan(())):
-                per_step: List = []
-                step_seconds: List[float] = []
-                recovery_steps: List[int] = []
-                start = time.perf_counter()
-                for step in range(len(batches) + 1):
-                    if step:
-                        apply_batch(db, batches[step - 1])
-                    restarts_before = session.stats.worker_restarts
-                    step_start = time.perf_counter()
-                    per_step.append(session.certain_answers(query))
-                    step_seconds.append(time.perf_counter() - step_start)
-                    if session.stats.worker_restarts > restarts_before:
-                        recovery_steps.append(step)
-                seconds = time.perf_counter() - start
-            stats = session.stats
-        finally:
-            session.close()
-        if seconds < best["seconds"]:
-            recovery = [step_seconds[i] for i in recovery_steps]
-            ordinary = [
-                s for i, s in enumerate(step_seconds) if i not in recovery_steps
-            ]
+        if replay["seconds"] < best["seconds"]:
+            recovery, ordinary = replay["recovery_seconds"], replay["ordinary_seconds"]
+            stats = replay["stats"]
             best = {
-                "seconds": seconds,
-                "per_step": per_step,
+                "seconds": replay["seconds"],
+                "per_step": replay["per_step"],
                 "step_p50": statistics.median(ordinary) if ordinary else None,
                 "recovery_p50": statistics.median(recovery) if recovery else None,
                 "recovery_max": max(recovery) if recovery else None,
@@ -1537,7 +1165,7 @@ def _fault_recovery_shard_leg(
                 "degradations": stats.degradations,
                 "deadline_timeouts": stats.deadline_timeouts,
             }
-        elif plan is not None and best.get("per_step") != per_step:
+        elif plan is not None and best.get("per_step") != replay["per_step"]:
             # Identity must hold on every repeat, not just the fastest.
             best["per_step"] = None
     return best
@@ -1687,87 +1315,106 @@ def run_fault_recovery_benchmark(
     }
 
 
-def _emit_fault_recovery(args: argparse.Namespace, output: pathlib.Path) -> int:
-    if args.sizes:
-        sizes: Sequence[int] = args.sizes
-    else:
-        sizes = FAULT_RECOVERY_SMOKE_SIZES if args.smoke else FAULT_RECOVERY_FULL_SIZES
-    steps = FAULT_RECOVERY_SMOKE_STEPS if args.smoke else FAULT_RECOVERY_FULL_STEPS
-    report = run_fault_recovery_benchmark(sizes, steps, repeats=2)
-    output.write_text(json.dumps(report, indent=2) + "\n")
-    for row in report["results"]:
-        retained = row["throughput_retained_under_faults"]
-        responsiveness = row["recovery_responsiveness"]
-        print(
-            f"size={row['size']:5d} facts={row['facts']:6d} "
-            f"kills={row['worker_failures']:2d} "
-            f"restarts={row['worker_restarts']:2d} "
-            f"clean={row['clean_seconds']:.4f}s "
-            f"chaos={row['chaos_seconds']:.4f}s "
-            f"retained={retained:.2f}x "
-            + (
-                f"recovery_p50={row['recovery_p50_seconds']:.4f}s "
-                f"responsiveness={responsiveness:.2f}x "
-                if responsiveness is not None
-                else "recovery_p50=n/a "
-            )
-            + f"agree={row['agree']}"
-        )
-    durability = report["durability"]
-    print(
-        f"durability: batches={durability['batches']} "
-        f"acknowledged={durability['acknowledged']} "
-        f"injected={durability['injected_faults']} "
-        f"wal_reopens={durability['wal_reopens']} "
-        f"recover={durability['recover_seconds']:.4f}s "
-        f"zero_lost={durability['zero_acknowledged_lost']}"
-    )
-    print(f"wrote {output}")
-    if not report["all_agree"]:
-        print(
-            "ERROR: an answer under injected faults diverged from the "
-            "sequential replay",
-            file=sys.stderr,
-        )
-        return 1
-    if not report["zero_acknowledged_lost"]:
-        print(
-            "ERROR: the durable store lost an acknowledged batch",
-            file=sys.stderr,
-        )
-        return 1
-    if not report["faults_exercised"]:
-        print("ERROR: the fault plan never fired", file=sys.stderr)
-        return 1
-    return 0
+@dataclass(frozen=True)
+class Runner:
+    """How :func:`main` runs one suite: ``run(sizes, **options)``."""
+
+    run: Callable[..., Dict]
+    #: ``(sizes, options)`` of a full run and of a ``--smoke`` run.
+    full: Tuple[Sequence[int], Dict]
+    smoke: Tuple[Sequence[int], Dict]
 
 
-_DEFAULT_OUTPUTS = {
-    "fo_rewriting": "BENCH_fo_rewriting.json",
-    "sharded_runtime": "BENCH_sharded_runtime.json",
-    "incremental_views": "BENCH_incremental_views.json",
-    "columnar_store": "BENCH_columnar_store.json",
-    "all_bands": "BENCH_all_bands.json",
-    "service_load": "BENCH_service_load.json",
-    "durability": "BENCH_durability.json",
-    "fault_recovery": "BENCH_fault_recovery.json",
+#: Every suite, by ``--suite`` name.  What each report must satisfy lives
+#: in ``check_bench_regression.SUITES``; the workloads are described by
+#: the ``run_*`` docstrings.  Where a ratio is guarded, the smoke sizes are
+#: a prefix of (or shared with) the full sizes, so the committed baseline
+#: always covers the rows the guard compares; and those suites run
+#: best-of-3 or more even when smoke-sized, since single millisecond-scale
+#: samples on a shared runner are too noisy to guard on.
+RUNNERS: Dict[str, Runner] = {
+    # Active-domain sizes n; facts grow linearly in n.
+    "fo_rewriting": Runner(
+        run_benchmark,
+        full=((8, 16, 32, 64, 96), {"repeats": 3}),
+        smoke=((8, 16), {"repeats": 1}),
+    ),
+    # Planted same-key pairs (candidate volume); ``steps`` mutation batches
+    # are interleaved with reads in the replayed stream.
+    "sharded_runtime": Runner(
+        run_sharded_benchmark,
+        full=((64, 256), {"steps": 12, "repeats": 3}),
+        smoke=((16, 48), {"steps": 5, "repeats": 1}),
+    ),
+    # Planted chains; ``mutations`` single-block mutations applied (and
+    # differentially checked) per size.
+    "incremental_views": Runner(
+        run_incremental_benchmark,
+        full=((64, 256, 1024), {"mutations": 12}),
+        smoke=((16, 48), {"mutations": 6}),
+    ),
+    # Planted chains.
+    "columnar_store": Runner(
+        run_columnar_benchmark,
+        full=((16, 48, 64, 256, 1024), {"repeats": 3}),
+        smoke=((16, 48), {"repeats": 3}),
+    ),
+    # Scale parameter per band: chains / planted witnesses / ring copies /
+    # conflict gadgets, depending on the band.
+    "all_bands": Runner(
+        run_all_bands_benchmark,
+        full=((8, 16, 64, 256), {"repeats": 3}),
+        smoke=((8, 16), {"repeats": 3}),
+    ),
+    # Concurrent tenants (``--sizes`` gives it as its first value) and
+    # per-tenant trace lengths.
+    "service_load": Runner(
+        lambda sizes, **options: run_service_load_benchmark(sizes[0], **options),
+        full=((8,), {"steps": 48, "repeats": 3}),
+        smoke=((8,), {"steps": 12, "repeats": 1}),
+    ),
+    # Changelog tails replayed on restart.  Each tail row runs a stream of
+    # ``DURABILITY_PRE_MUTATIONS + tail`` single-op batches, checkpointing
+    # ``tail`` mutations before the end, so a (chains, tail) cell is the
+    # same workload in smoke and full runs.
+    "durability": Runner(
+        run_durability_benchmark,
+        full=((0, 1_000, 10_000), {"repeats": 3}),
+        smoke=((0, 1_000), {"repeats": 3}),
+    ),
+    # Planted same-key pairs per replayed stream (the sharded_runtime
+    # workload, so the chaos numbers are comparable to the clean suite's).
+    "fault_recovery": Runner(
+        run_fault_recovery_benchmark,
+        full=((48, 96), {"steps": 10, "repeats": 2}),
+        smoke=((16,), {"steps": 5, "repeats": 2}),
+    ),
 }
+
+
+def _print_report(node: Dict, indent: str = "") -> None:
+    """Print *node*'s scalar fields on one line, then each nested row below."""
+    scalars, nested = [], []
+    for key, value in node.items():
+        rows = [value] if isinstance(value, dict) else value
+        if isinstance(rows, list) and rows and isinstance(rows[0], dict):
+            nested.append((key, rows))
+        elif isinstance(value, float):
+            scalars.append(f"{key}={value:.4g}")
+        else:
+            scalars.append(f"{key}={value}")
+    print(indent + " ".join(scalars))
+    for key, rows in nested:
+        print(f"{indent}  {key}:")
+        for row in rows:
+            _print_report(row, indent + "    ")
 
 
 def main(argv: Sequence[str] = ()) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
         "--suite",
-        choices=(
-            "fo_rewriting",
-            "sharded_runtime",
-            "incremental_views",
-            "columnar_store",
-            "all_bands",
-            "service_load",
-            "durability",
-            "fault_recovery",
-        ),
+        choices=tuple(RUNNERS),
         default="fo_rewriting",
         help="which benchmark suite to run",
     )
@@ -1790,24 +1437,15 @@ def main(argv: Sequence[str] = ()) -> int:
     args = parser.parse_args(list(argv) or None)
     output = args.output
     if output is None:
-        output = (
-            pathlib.Path(__file__).resolve().parents[1] / _DEFAULT_OUTPUTS[args.suite]
-        )
-    if args.suite == "sharded_runtime":
-        return _emit_sharded_runtime(args, output)
-    if args.suite == "incremental_views":
-        return _emit_incremental_views(args, output)
-    if args.suite == "columnar_store":
-        return _emit_columnar_store(args, output)
-    if args.suite == "all_bands":
-        return _emit_all_bands(args, output)
-    if args.suite == "service_load":
-        return _emit_service_load(args, output)
-    if args.suite == "durability":
-        return _emit_durability(args, output)
-    if args.suite == "fault_recovery":
-        return _emit_fault_recovery(args, output)
-    return _emit_fo_rewriting(args, output)
+        root = pathlib.Path(__file__).resolve().parents[1]
+        output = root / f"BENCH_{args.suite}.json"
+    runner = RUNNERS[args.suite]
+    sizes, options = runner.smoke if args.smoke else runner.full
+    report = runner.run(args.sizes or sizes, **options)
+    output.write_text(json.dumps(report, indent=2) + "\n")
+    _print_report(report)
+    print(f"wrote {output}")
+    return check_identity(report)
 
 
 if __name__ == "__main__":

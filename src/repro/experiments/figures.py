@@ -5,7 +5,7 @@ The paper is a theory paper: its "evaluation" consists of worked examples
 function below regenerates the corresponding artefact with the library and
 checks the claims the paper makes about it, returning an
 :class:`~repro.experiments.runner.ExperimentReport`.  The benchmark harness
-and EXPERIMENTS.md are built on these functions.
+and :func:`run_all_experiments` are built on these functions.
 """
 
 from __future__ import annotations
@@ -481,5 +481,5 @@ ALL_EXPERIMENTS = {
 
 
 def run_all_experiments() -> List[ExperimentReport]:
-    """Run every experiment and return the reports (used by EXPERIMENTS.md)."""
+    """Run every experiment and return the reports, one per figure or claim."""
     return [factory() for factory in ALL_EXPERIMENTS.values()]

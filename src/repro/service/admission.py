@@ -145,6 +145,10 @@ class AdmissionStats:
         "max_queue_depth",
     )
 
+    #: The counters that sum across tenants (``max_queue_depth`` is a
+    #: per-tenant high-water mark, so it is left out).
+    SUMMED = tuple(name for name in __slots__ if name != "max_queue_depth")
+
     def __init__(self) -> None:
         self.inline_served = 0
         self.queued = 0

@@ -43,7 +43,7 @@ from ..model.atoms import Fact
 from ..model.schema import DatabaseSchema
 from ..query.conjunctive import ConjunctiveQuery
 from ..workloads.streaming import MutationOp
-from .admission import AdmissionController, AdmissionTicket, AnswerSet
+from .admission import AdmissionController, AdmissionStats, AdmissionTicket, AnswerSet
 from .tenant import Tenant
 
 
@@ -298,16 +298,7 @@ class CertaintyService:
             "intern_constants": 0,
             "intern_bytes": 0,
             "pending_view_mutations": 0,
-            "inline_served": 0,
-            "queued": 0,
-            "completed": 0,
-            "cancelled": 0,
-            "rejected": 0,
-            "timeouts": 0,
-            "abandoned": 0,
-            "shed": 0,
-            "breaker_opens": 0,
-            "deadline_expired": 0,
+            **dict.fromkeys(AdmissionStats.SUMMED, 0),
         }
         for tenant_id, tenant in tenants.items():
             stats = tenant.stats()
@@ -318,18 +309,7 @@ class CertaintyService:
             totals["intern_constants"] += stats["intern_memory"]["constants"]
             totals["intern_bytes"] += stats["intern_memory"]["total_bytes"]
             totals["pending_view_mutations"] += stats["pending_view_mutations"]
-            for key in (
-                "inline_served",
-                "queued",
-                "completed",
-                "cancelled",
-                "rejected",
-                "timeouts",
-                "abandoned",
-                "shed",
-                "breaker_opens",
-                "deadline_expired",
-            ):
+            for key in AdmissionStats.SUMMED:
                 totals[key] += stats["admission"][key]
         return {
             "tenants": per_tenant,

@@ -24,7 +24,7 @@ from repro.service import (
     CancelledError,
     CertaintyService,
 )
-from repro.service.admission import FutureTimeoutError
+from repro.service.admission import AdmissionStats, FutureTimeoutError
 from repro.workloads import multi_tenant_workload, replay_trace
 
 
@@ -367,6 +367,23 @@ def test_stats_aggregate_memory_and_admission():
         assert totals["intern_bytes"] >= per_a["intern_memory"]["total_bytes"]
         assert per_a["queue_depth"] == 0
         assert "staleness" in per_a and "admission" in per_a
+
+
+def test_stats_totals_sum_every_admission_counter():
+    with CertaintyService() as svc:
+        svc.create_tenant("a", facts=tenant_facts("a"))
+        svc.create_tenant("b", facts=tenant_facts("b"))
+        svc.certain_answers("a", fo_query())
+        svc.certain_answers("b", fo_query())
+        svc.certain_answers("b", queued_query(), timeout=10)
+        stats = svc.stats()
+    admissions = [tenant["admission"] for tenant in stats["tenants"].values()]
+    # Every admission counter but the high-water mark is summed.
+    assert set(admissions[0]) - set(AdmissionStats.SUMMED) == {"max_queue_depth"}
+    assert "max_queue_depth" not in stats["totals"]
+    for key in AdmissionStats.SUMMED:
+        assert stats["totals"][key] == sum(adm[key] for adm in admissions)
+    assert stats["totals"]["inline_served"] == 2
 
 
 # -- concurrency smoke ---------------------------------------------------------------
